@@ -2150,8 +2150,8 @@ def run_serving_scale(
     """E27 — the sharded serving tier against the single-process server.
 
     A synthetic release is published once into a scratch store; uniform
-    q-gram ``/batch`` traffic (every pattern the same length, the tier's
-    split-eligible case) is then driven over HTTP by spawned client
+    q-gram ``/batch`` traffic (every pattern the same length, the compiled
+    trie's fastest path) is then driven over HTTP by spawned client
     processes — first at the single-process server (the baseline row), then
     at clusters of 1/2/4/... workers.  Each row records aggregate pattern
     throughput, the speedup over the baseline, and two correctness gates
@@ -2262,9 +2262,7 @@ def run_serving_scale(
             (count for count in worker_counts if count >= 2), default=None
         )
         for workers in worker_counts:
-            with Cluster(
-                store, workers=workers, split_min_patterns=min(512, batch_size)
-            ) as cluster:
+            with Cluster(store, workers=workers) as cluster:
                 bytes_identical = raw_batch(cluster.url) == single_reference
                 outcome = _drive_scale_clients(
                     cluster.url, body, expected, clients=clients, rounds=rounds

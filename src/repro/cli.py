@@ -890,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="serve through the sharded cluster tier: N pre-forked worker "
-        "processes mmap-sharing one release copy behind a hash-sharding "
+        "processes mmap-sharing one release copy behind a relaying "
         "router on --port (1 = the single-process server)",
     )
     serve_parser.add_argument(

@@ -30,15 +30,16 @@ PrivateCountingTrie` to serving millions of pattern queries:
 ``server`` / ``client``
     A stdlib ``ThreadingHTTPServer`` JSON API (``/query``, ``/batch``,
     ``/mine``, ``/releases``, ``/healthz``) with request micro-batching and
-    per-release routing, plus a ``urllib``-based client.
+    per-release routing — one front-end for the single process and the
+    tier — plus a ``urllib``-based client.
 ``loadtest``
     A deterministic concurrency harness: seeded mixed workloads replayed
     from barrier-started threads — or spawned client *processes*
     (``run_load_test_processes``) — checked bit-identical against a serial
     replay (``dpsc bench-load``, E23).
 ``cluster``
-    The sharded multi-process serving tier: a hash-sharding router on the
-    public port over N pre-forked workers mmap-sharing one release copy,
+    The multi-process serving tier: a relaying router on the public port
+    over N pre-forked workers mmap-sharing one release copy,
     with crash respawn, atomic hot reload and tier-wide metrics
     aggregation (``dpsc serve --workers N``, E27).
 ``resilience``
@@ -87,6 +88,7 @@ from repro.serving.schedule import EpochRelease, EpochScheduler
 from repro.serving.server import (
     MicroBatcher,
     QueryService,
+    ServingHTTPError,
     create_server,
     install_graceful_shutdown,
     serve_forever,
@@ -119,6 +121,7 @@ __all__ = [
     "run_load_test_processes",
     "MicroBatcher",
     "QueryService",
+    "ServingHTTPError",
     "create_server",
     "install_graceful_shutdown",
     "serve_forever",

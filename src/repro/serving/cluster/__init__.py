@@ -1,15 +1,18 @@
-"""``repro.serving.cluster`` — the sharded multi-process serving tier.
+"""``repro.serving.cluster`` — the multi-process serving tier.
 
-A hierarchy-of-coordinators over the single-process server: a root
-:class:`Router` on the public port delegates to per-shard worker processes,
-each an ordinary :class:`~repro.serving.server.QueryService` over the same
-mmap'd ``.dpsb`` release (~one resident copy regardless of worker count).
+A router on the public port in front of N worker processes, each an
+ordinary :class:`~repro.serving.server.QueryService` over the same mmap'd
+``.dpsb`` release (~one resident copy regardless of worker count).  The
+router and the workers run the same HTTP front-end
+(:func:`~repro.serving.server.create_server`); only its backend differs.
+The tier parallelises across concurrent requests: each request is answered
+whole by one worker.
 
 * :mod:`repro.serving.cluster.workers` — spawn-safe worker processes,
   readiness handshake, orphan prevention, the pool and the router's
   worker table;
-* :mod:`repro.serving.cluster.router` — raw-passthrough proxying,
-  stable-hash batch splitting, straggler micro-batching, retry-on-crash,
+* :mod:`repro.serving.cluster.router` — :class:`Router`, the relaying
+  backend: raw-bytes forwarding, straggler micro-batching, retry-on-crash,
   tier-wide ``/metrics`` and ``/healthz``;
 * :mod:`repro.serving.cluster.supervisor` — :class:`Cluster`: lifecycle,
   heartbeat monitoring, crash respawn, atomic hot reload, graceful drain.
@@ -18,12 +21,7 @@ Entry points: ``Cluster(store, workers=N).start()`` in-process, or
 ``dpsc serve --store ... --workers N`` from the command line.
 """
 
-from repro.serving.cluster.router import (
-    Router,
-    RouterHTTPError,
-    create_router_server,
-    shard_of,
-)
+from repro.serving.cluster.router import Router
 from repro.serving.cluster.supervisor import Cluster
 from repro.serving.cluster.workers import (
     WorkerHandle,
@@ -35,11 +33,8 @@ from repro.serving.cluster.workers import (
 __all__ = [
     "Cluster",
     "Router",
-    "RouterHTTPError",
     "WorkerHandle",
     "WorkerPool",
     "WorkerTable",
-    "create_router_server",
-    "shard_of",
     "worker_main",
 ]

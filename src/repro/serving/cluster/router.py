@@ -1,26 +1,23 @@
-"""The public-port router of the sharded serving tier.
+"""The router of the sharded serving tier: the backend that relays.
 
-One ``ThreadingHTTPServer`` that owns no release data at all: every count
-comes from a worker.  Three request paths, ordered by how much the router
-has to understand the bytes flowing through it:
+It owns no release data at all: every count comes from a worker.  The
+public port runs the one HTTP front-end of :mod:`repro.serving.server`
+(:func:`~repro.serving.server.create_server` over a :class:`Router`), so
+validation, deadline refusal and error bodies are the same code as on the
+single-process server.  A validated request then takes one of two paths:
 
-* **passthrough** — ``/mine``, ``/releases`` and non-split ``/batch``
-  requests are forwarded as the original raw bytes to one worker and the
-  worker's response bytes are relayed verbatim.  Workers run the exact
-  single-process handler code, so passthrough replies are bit-identical to
-  the single-process server by construction.
-* **split** — a uniform-length ``/batch`` of at least ``split_min_patterns``
-  patterns is sharded across the live workers by a *stable hash of the
-  pattern index* (:func:`shard_of` — deterministic across runs and
-  processes, unlike ``hash()`` under ``PYTHONHASHSEED``), the sub-batches
-  run concurrently, and the counts are scattered back into request order.
-  Counts are deterministic post-processing of the released structure and
-  JSON floats round-trip exactly through ``repr``, so the reassembled body
-  is byte-identical to the single-process answer for the same request.
-* **micro-batch** — concurrent single ``/query`` requests coalesce in a
-  router-side batcher (same eager-flush design as the in-process
-  :class:`~repro.serving.server.MicroBatcher`) and ride one worker
+* **relay** — ``/batch``, ``/mine``, ``/releases`` and (with micro-batching
+  off) ``/query`` are forwarded as the original method, path and raw
+  bytes to one worker, chosen round-robin, and the worker's response bytes
+  are relayed verbatim.  Workers run the same handler over a
+  :class:`~repro.serving.server.QueryService`, so relayed replies are
+  byte-identical to the single-process server by construction.
+* **micro-batch** — concurrent single ``/query`` requests coalesce in the
+  shared :class:`~repro.serving.server.MicroBatcher` and ride one worker
   ``/batch`` call instead of N worker round-trips.
+
+The tier's parallelism is across concurrent requests: each worker answers
+whole requests, and no request is split across workers.
 
 Failure policy: every endpoint is an idempotent read (queries are
 post-processing; the only server-side state is counters), so a connection
@@ -47,12 +44,10 @@ import json
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
 from repro import faults
-from repro.obs import MetricsRegistry, log_buckets, merge_snapshots, render_snapshot
+from repro.exceptions import ReproError
+from repro.obs import MetricsRegistry, merge_snapshots
 from repro.serving.cluster.workers import WorkerHandle, WorkerTable
 from repro.serving.resilience import (
     DEADLINE_HEADER,
@@ -60,11 +55,11 @@ from repro.serving.resilience import (
     CircuitBreaker,
     Deadline,
 )
+from repro.serving.server import MicroBatcher, ServingHTTPError
 
-__all__ = ["Router", "RouterHTTPError", "create_router_server", "shard_of"]
+__all__ = ["Router"]
 
 _ENDPOINTS = ("query", "batch", "mine", "healthz")
-_FLUSH_SIZE_BUCKETS = log_buckets(1.0, 512.0, 2.0)
 #: connection-level failures worth retrying on another worker; an HTTP
 #: *error response* is not among them — that is the worker answering.
 _RETRYABLE = (OSError, http.client.HTTPException)
@@ -74,27 +69,12 @@ _RETRYABLE = (OSError, http.client.HTTPException)
 #: configured exception kind, they model a failed relay, not a bad request).
 _RELAY_RETRYABLE = (*_RETRYABLE, faults.FaultInjected, faults.FaultDropConnection)
 
-#: Knuth's multiplicative constant (2^32 / phi); see :func:`shard_of`.
-_HASH_MULTIPLIER = 2654435761
-
 #: chaos-drill injection site: fires before each router -> worker HTTP
 #: round-trip, so injected connection errors exercise the exact retry /
 #: circuit-breaker path a crashed worker would.
 _FP_RELAY = faults.failpoint(
     "router.relay", "Entry of every router -> worker HTTP round-trip."
 )
-
-
-def shard_of(index: int, shards: int) -> int:
-    """Stable shard for a pattern index.
-
-    A multiplicative hash rather than ``index % shards`` so shard loads stay
-    balanced under any access pattern, and rather than ``hash()`` so the
-    assignment is identical across processes and runs (``PYTHONHASHSEED``
-    randomizes ``str`` hashes, and determinism here is part of the replay
-    story).
-    """
-    return ((index * _HASH_MULTIPLIER) & 0xFFFFFFFF) % shards
 
 
 def _error_message(body: bytes, status: int) -> str:
@@ -106,145 +86,8 @@ def _error_message(body: bytes, status: int) -> str:
     return message if isinstance(message, str) else f"upstream error (HTTP {status})"
 
 
-class RouterHTTPError(Exception):
-    """An error to relay to the client as a JSON ``{"error": ...}`` body.
-
-    ``retry_after`` (fractional seconds) becomes a ``Retry-After`` response
-    header — the router's hint to a resilient client about when a shed
-    request is worth re-sending.
-    """
-
-    def __init__(
-        self, status: int, message: str, *, retry_after: float | None = None
-    ) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.retry_after = retry_after
-
-
-class _PendingRouted:
-    """One single-pattern query waiting for a router micro-batch flush."""
-
-    __slots__ = ("pattern", "release", "event", "result", "error")
-
-    def __init__(self, pattern: str, release: str | None) -> None:
-        self.pattern = pattern
-        self.release = release
-        self.event = threading.Event()
-        self.result: float = 0.0
-        self.error: Exception | None = None
-
-
-class RouterBatcher:
-    """Micro-batches straggler ``/query`` traffic into worker ``/batch`` calls.
-
-    The in-process :class:`~repro.serving.server.MicroBatcher` design with
-    the flush retargeted at the tier: eager flushing (a lone request pays no
-    artificial wait), coalescing under concurrency, grouped by release.  One
-    flush is one worker round-trip regardless of how many clients piled up.
-    """
-
-    def __init__(
-        self,
-        router: "Router",
-        *,
-        max_batch: int = 256,
-        max_wait: float = 0.002,
-    ) -> None:
-        self._router = router
-        self._max_batch = max_batch
-        self._max_wait = max_wait
-        self._queue: list[_PendingRouted] = []
-        self._condition = threading.Condition()
-        self._closed = False
-        metrics = router.metrics
-        self._flushes = metrics.counter(
-            "dpsc_router_microbatch_flushes_total",
-            "Router micro-batch flushes executed.",
-        )
-        self._flushed_requests = metrics.counter(
-            "dpsc_router_microbatch_requests_total",
-            "Single queries answered through router micro-batch flushes.",
-        )
-        self._flush_size = metrics.histogram(
-            "dpsc_router_microbatch_flush_size",
-            "Requests coalesced per router micro-batch flush.",
-            buckets=_FLUSH_SIZE_BUCKETS,
-        )
-        self._worker = threading.Thread(
-            target=self._run, name="repro-router-microbatcher", daemon=True
-        )
-        self._worker.start()
-
-    @property
-    def batches_flushed(self) -> int:
-        return int(self._flushes.value)
-
-    @property
-    def requests_batched(self) -> int:
-        return int(self._flushed_requests.value)
-
-    def submit(self, pattern: str, release: str | None) -> float:
-        pending = _PendingRouted(pattern, release)
-        with self._condition:
-            if self._closed:
-                raise RouterHTTPError(503, "router is shutting down")
-            self._queue.append(pending)
-            self._condition.notify()
-        pending.event.wait()
-        if pending.error is not None:
-            raise pending.error
-        return pending.result
-
-    def close(self) -> None:
-        with self._condition:
-            self._closed = True
-            self._condition.notify_all()
-        self._worker.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while True:
-            with self._condition:
-                while not self._queue and not self._closed:
-                    self._condition.wait(timeout=self._max_wait)
-                if self._closed and not self._queue:
-                    return
-                batch = self._queue[: self._max_batch]
-                del self._queue[: len(batch)]
-            if batch:
-                self._flush(batch)
-
-    def _flush(self, batch: list[_PendingRouted]) -> None:
-        self._flushes.inc()
-        self._flushed_requests.inc(len(batch))
-        self._flush_size.observe(float(len(batch)))
-        by_release: dict[str | None, list[_PendingRouted]] = {}
-        for pending in batch:
-            by_release.setdefault(pending.release, []).append(pending)
-        for release, group in by_release.items():
-            payload: dict = {"patterns": [pending.pattern for pending in group]}
-            if release is not None:
-                payload["release"] = release
-            try:
-                status, body = self._router.forward_any(
-                    "POST", "/batch", json.dumps(payload).encode("utf-8")
-                )
-                if status != 200:
-                    raise RouterHTTPError(status, _error_message(body, status))
-                counts = json.loads(body.decode("utf-8"))["counts"]
-                for pending, count in zip(group, counts):
-                    pending.result = float(count)
-            except Exception as error:  # propagate to every waiter
-                for pending in group:
-                    pending.error = error
-            finally:
-                for pending in group:
-                    pending.event.set()
-
-
 class Router:
-    """Shards tier traffic over a :class:`WorkerTable`; owns no releases."""
+    """Relays tier traffic over a :class:`WorkerTable`; owns no releases."""
 
     def __init__(
         self,
@@ -253,12 +96,10 @@ class Router:
         micro_batch: bool = True,
         max_batch: int = 256,
         max_wait: float = 0.002,
-        split_min_patterns: int = 512,
         worker_timeout: float = 60.0,
         retry_timeout: float = 15.0,
         retry_wait: float = 0.05,
         scrape_timeout: float = 5.0,
-        split_threads: int = 16,
         max_inflight: int | None = 256,
         shed_retry_after: float = 0.25,
         breaker_threshold: int = 5,
@@ -266,7 +107,6 @@ class Router:
         breaker_probes: int = 1,
     ) -> None:
         self.table = table
-        self.split_min_patterns = split_min_patterns
         self.worker_timeout = worker_timeout
         self.retry_timeout = retry_timeout
         self.retry_wait = retry_wait
@@ -300,14 +140,6 @@ class Router:
         self._batch_patterns = self.metrics.counter(
             "dpsc_router_batch_patterns_total",
             "Patterns accepted across all router /batch requests.",
-        )
-        self._split_batches = self.metrics.counter(
-            "dpsc_router_split_batches_total",
-            "Batches sharded across workers by pattern-index hash.",
-        )
-        self._split_subrequests = self.metrics.counter(
-            "dpsc_router_split_subrequests_total",
-            "Worker sub-requests issued by the batch splitter.",
         )
         self._retries = self.metrics.counter(
             "dpsc_router_retries_total",
@@ -362,11 +194,14 @@ class Router:
         ).set_function(lambda: float(self.respawns_fn()))
         self._rr = itertools.count()
         self._local = threading.local()
-        self._executor = ThreadPoolExecutor(
-            max_workers=split_threads, thread_name_prefix="repro-router-shard"
-        )
         self._batcher = (
-            RouterBatcher(self, max_batch=max_batch, max_wait=max_wait)
+            MicroBatcher(
+                self._flush,
+                self.metrics,
+                prefix="dpsc_router",
+                max_batch=max_batch,
+                max_wait=max_wait,
+            )
             if micro_batch
             else None
         )
@@ -419,10 +254,10 @@ class Router:
         """One HTTP round-trip to one worker; raises on connection failure.
 
         Pooled connections are keep-alive (workers speak HTTP/1.1) and
-        thread-local, so handler threads and shard-executor threads never
-        contend on a socket.  Unpooled mode is for scrapes, which want a
-        short timeout instead of the batch-sized one.  ``headers`` rides on
-        top of the defaults (deadline propagation uses it).
+        thread-local, so handler threads never contend on a socket.
+        Unpooled mode is for scrapes, which want a short timeout instead of
+        the batch-sized one.  ``headers`` rides on top of the defaults
+        (deadline propagation uses it).
         """
         _FP_RELAY.hit()
         if pooled:
@@ -487,7 +322,7 @@ class Router:
             return
         if not gate.try_enter():
             self._shed.inc()
-            raise RouterHTTPError(
+            raise ServingHTTPError(
                 503,
                 f"router at capacity ({gate.limit} requests in flight)",
                 retry_after=self.shed_retry_after,
@@ -497,23 +332,13 @@ class Router:
         finally:
             gate.leave()
 
-    @staticmethod
-    def _deadline_headers(deadline: Deadline | None) -> dict[str, str] | None:
-        return (
-            None
-            if deadline is None
-            else {DEADLINE_HEADER: deadline.header_value()}
-        )
-
     def forward_any(
         self,
         method: str,
         path: str,
         body: bytes | None = None,
         *,
-        preferred: WorkerHandle | None = None,
         deadline: Deadline | None = None,
-        headers: dict[str, str] | None = None,
     ) -> tuple[int, bytes]:
         """Forward to some admitted live worker, retrying on failure.
 
@@ -527,42 +352,36 @@ class Router:
         Blocks (bounded by ``retry_timeout``) while no worker is admitted,
         which is exactly the crash-respawn window — the supervisor races
         this deadline.  An expired request ``deadline`` stops the loop
-        early with 504: nobody is waiting for the answer any more.
+        early with 504: nobody is waiting for the answer any more; a live
+        ``deadline`` also travels to the worker as its ``X-DPSC-Deadline``.
         """
         retry_deadline = time.monotonic() + self.retry_timeout
         tried: set[int] = set()
         last_error: tuple[int, bytes] | None = None
-        use_preferred = preferred is not None
+        headers = None if deadline is None else {DEADLINE_HEADER: deadline.header_value()}
         while True:
             if deadline is not None and deadline.expired():
                 self._deadline_exceeded.inc()
-                raise RouterHTTPError(
+                raise ServingHTTPError(
                     504, f"deadline expired while forwarding {method} {path}"
                 )
             worker = None
             breaker = None
-            if use_preferred and preferred.is_alive():
-                candidate_breaker = self._breaker(preferred)
+            workers = self.table.live()
+            pool = [w for w in workers if w.port not in tried] or workers
+            start = next(self._rr)
+            for offset in range(len(pool)):
+                candidate = pool[(start + offset) % len(pool)]
+                candidate_breaker = self._breaker(candidate)
                 if candidate_breaker.try_acquire():
-                    worker, breaker = preferred, candidate_breaker
-            use_preferred = False
-            if worker is None:
-                workers = self.table.live()
-                pool = [w for w in workers if w.port not in tried] or workers
-                if pool:
-                    start = next(self._rr)
-                    for offset in range(len(pool)):
-                        candidate = pool[(start + offset) % len(pool)]
-                        candidate_breaker = self._breaker(candidate)
-                        if candidate_breaker.try_acquire():
-                            worker, breaker = candidate, candidate_breaker
-                            break
+                    worker, breaker = candidate, candidate_breaker
+                    break
             if worker is None:
                 # nothing live, or every live worker's breaker is open
                 if time.monotonic() >= retry_deadline:
                     if last_error is not None:
                         return last_error
-                    raise RouterHTTPError(503, "no live workers to forward to")
+                    raise ServingHTTPError(503, "no live workers to forward to")
                 time.sleep(self.retry_wait)
                 continue
             try:
@@ -577,7 +396,7 @@ class Router:
                 if time.monotonic() >= retry_deadline:
                     if last_error is not None:
                         return last_error
-                    raise RouterHTTPError(
+                    raise ServingHTTPError(
                         503,
                         f"workers unavailable after retries on {method} {path}",
                     ) from None
@@ -599,141 +418,56 @@ class Router:
             return status, data
 
     # ------------------------------------------------------------------
-    # Endpoint logic (the handler below is a thin shim over these)
+    # The HTTP backend (see repro.serving.server.create_server)
     # ------------------------------------------------------------------
-    def route_query(
-        self, pattern: str, release: str | None, deadline: Deadline | None = None
-    ) -> float:
-        self._requests["query"].inc()
-        with self._latency["query"].time():
-            if self._batcher is not None:
-                # coalesced queries share a flush; the flush carries no
-                # single request's deadline (workers answer micro-batches
-                # in well under any sane per-request budget).
-                return self._batcher.submit(pattern, release)
-            payload: dict = {"pattern": pattern}
-            if release is not None:
-                payload["release"] = release
-            status, body = self.forward_any(
-                "POST",
-                "/query",
-                json.dumps(payload).encode("utf-8"),
-                deadline=deadline,
-                headers=self._deadline_headers(deadline),
-            )
-            if status != 200:
-                raise RouterHTTPError(status, _error_message(body, status))
-            return float(json.loads(body.decode("utf-8"))["count"])
+    def _flush(self, release: str | None, patterns: list[str]) -> list[float]:
+        """One micro-batch group's counts: a single worker ``/batch``."""
+        payload: dict = {"patterns": patterns}
+        if release is not None:
+            payload["release"] = release
+        status, body = self.forward_any(
+            "POST", "/batch", json.dumps(payload).encode("utf-8")
+        )
+        if status != 200:
+            raise ServingHTTPError(status, _error_message(body, status))
+        return json.loads(body.decode("utf-8"))["counts"]
 
-    def route_batch(
+    def note_deadline_exceeded(self) -> None:
+        self._deadline_exceeded.inc()
+
+    def serve(
         self,
-        raw: bytes,
-        payload: dict,
-        patterns: list[str],
-        release: str | None,
+        endpoint: str,
+        args: dict,
+        request: tuple[str, str, bytes],
         deadline: Deadline | None = None,
     ) -> tuple[int, bytes]:
-        """Dispatch one validated ``/batch``: split when profitable, else
-        forward the original bytes untouched."""
-        self._requests["batch"].inc()
-        self._batch_patterns.inc(len(patterns))
-        with self._latency["batch"].time():
-            live = self.table.live()
-            splittable = (
-                len(live) > 1
-                and len(patterns) >= self.split_min_patterns
-                # uniform q-gram traffic: one pattern length across the batch
-                and len({len(p) for p in patterns}) == 1
-                # unknown extra keys must survive verbatim -> passthrough
-                and set(payload) <= {"patterns", "release"}
-            )
-            if not splittable:
-                return self.forward_any(
-                    "POST",
-                    "/batch",
-                    raw,
-                    deadline=deadline,
-                    headers=self._deadline_headers(deadline),
-                )
-            return self._split_batch(live, patterns, release, deadline)
-
-    def _split_batch(
-        self,
-        live: list[WorkerHandle],
-        patterns: list[str],
-        release: str | None,
-        deadline: Deadline | None = None,
-    ) -> tuple[int, bytes]:
-        shards = len(live)
-        assignment: list[list[tuple[int, str]]] = [[] for _ in range(shards)]
-        for index, pattern in enumerate(patterns):
-            assignment[shard_of(index, shards)].append((index, pattern))
-        futures = []
-        for shard_index, members in enumerate(assignment):
-            if not members:
-                continue
-            sub: dict = {"patterns": [pattern for _, pattern in members]}
-            if release is not None:
-                sub["release"] = release
-            futures.append(
-                (
-                    members,
-                    self._executor.submit(
-                        self.forward_any,
-                        "POST",
-                        "/batch",
-                        json.dumps(sub).encode("utf-8"),
-                        preferred=live[shard_index],
-                        deadline=deadline,
-                        headers=self._deadline_headers(deadline),
-                    ),
-                )
-            )
-        self._split_batches.inc()
-        self._split_subrequests.inc(len(futures))
-        counts = [0.0] * len(patterns)
-        relay: tuple[int, bytes] | None = None
-        for members, future in futures:
+        """Answer one validated request: micro-batch a ``/query``, relay
+        anything else as its original bytes to one worker, or reload."""
+        method, path, raw = request
+        if endpoint == "reload":
+            if self.reload_fn is None:
+                raise ServingHTTPError(503, "reload is not available")
             try:
-                status, body = future.result()
-            except RouterHTTPError as error:
-                # still join the remaining futures so no shard outlives the
-                # request, then relay the first failure
-                relay = relay or (
-                    error.status,
-                    json.dumps({"error": error.message}).encode("utf-8"),
-                )
-                continue
-            if status != 200:
-                # relay the first upstream error verbatim (still joining the
-                # remaining futures so no shard outlives the request)
-                relay = relay or (status, body)
-                continue
-            sub_counts = json.loads(body.decode("utf-8"))["counts"]
-            for (index, _), count in zip(members, sub_counts):
-                counts[index] = float(count)
-        if relay is not None:
-            return relay
-        body = json.dumps(
-            {"release": release or self.default_release, "counts": counts}
-        ).encode("utf-8")
-        return 200, body
-
-    def route_mine(
-        self, raw: bytes, deadline: Deadline | None = None
-    ) -> tuple[int, bytes]:
-        self._requests["mine"].inc()
-        with self._latency["mine"].time():
-            return self.forward_any(
-                "POST",
-                "/mine",
-                raw,
-                deadline=deadline,
-                headers=self._deadline_headers(deadline),
-            )
-
-    def route_releases(self) -> tuple[int, bytes]:
-        return self.forward_any("GET", "/releases")
+                return 200, json.dumps(self.reload_fn()).encode("utf-8")
+            except ReproError as error:  # the old generation keeps serving
+                raise ServingHTTPError(500, f"reload failed: {error}") from error
+        if endpoint == "releases":
+            return self.forward_any(method, path, deadline=deadline)
+        with self.admission():
+            self._requests[endpoint].inc()
+            if endpoint == "batch":
+                self._batch_patterns.inc(len(args["patterns"]))
+            with self._latency[endpoint].time():
+                if endpoint == "query" and self._batcher is not None:
+                    # coalesced queries share a flush; the flush carries no
+                    # single request's deadline (workers answer micro-batches
+                    # in well under any sane per-request budget).
+                    count = self._batcher.submit(args["pattern"], args["release"])
+                    release = args["release"] or self.default_release
+                    payload = {"pattern": args["pattern"], "release": release, "count": count}
+                    return 200, json.dumps(payload).encode("utf-8")
+                return self.forward_any(method, path, raw or None, deadline=deadline)
 
     def health(self) -> dict:
         self._requests["healthz"].inc()
@@ -754,7 +488,6 @@ class Router:
                 "batches": int(self._requests["batch"].value),
                 "batch_patterns": int(self._batch_patterns.value),
                 "mines": int(self._requests["mine"].value),
-                "split_batches": int(self._split_batches.value),
                 "retries": int(self._retries.value),
                 "sheds": int(self._shed.value),
                 "deadline_exceeded": int(self._deadline_exceeded.value),
@@ -781,7 +514,7 @@ class Router:
                 payload["micro_batched_requests"] = self._batcher.requests_batched
             return payload
 
-    def merged_snapshot(self) -> dict:
+    def metrics_snapshot(self) -> dict:
         """Router registry + every live worker's, merged tier-wide."""
         sources = [("router", self.metrics.snapshot())]
         for worker in self.table.live():
@@ -796,190 +529,7 @@ class Router:
                 self._scrape_failures.inc()
         return merge_snapshots(sources, label="worker")
 
-    def render_metrics(self) -> str:
-        return render_snapshot(self.merged_snapshot())
-
     def close(self) -> None:
         if self._batcher is not None:
             self._batcher.close()
             self._batcher = None
-        self._executor.shutdown(wait=False)
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Thin JSON shim over :class:`Router` — endpoint surface and error
-    texts mirror the single-process handler so clients cannot tell the
-    tiers apart (the parity tests assert this)."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-dpsc-router"
-    #: same rationale as the worker handler: keep-alive + Nagle + delayed
-    #: ACK turns two-write responses into ~40ms stalls.
-    disable_nagle_algorithm = True
-
-    @property
-    def router(self) -> Router:
-        return self.server.router  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------
-    def _respond(self, payload: dict, status: int = 200) -> None:
-        self._respond_raw(status, json.dumps(payload).encode("utf-8"))
-
-    def _respond_raw(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(
-        self, message: str, status: int, retry_after: float | None = None
-    ) -> None:
-        body = json.dumps({"error": message}).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
-        return self.rfile.read(length) if length else b""
-
-    def _request_deadline(self):
-        """The request's :class:`Deadline` (or ``None``); raises 504 when it
-        already expired — no point routing work nobody is waiting for."""
-        deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
-        if deadline is not None and deadline.expired():
-            self.router._deadline_exceeded.inc()
-            raise RouterHTTPError(
-                504, "request deadline expired before routing began"
-            )
-        return deadline
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        parsed = urlparse(self.path)
-        try:
-            if parsed.path == "/healthz":
-                self._respond(self.router.health())
-            elif parsed.path == "/metrics":
-                query = parse_qs(parsed.query)
-                if query.get("format", [""])[0] == "json":
-                    self._respond(self.router.merged_snapshot())
-                else:
-                    body = self.router.render_metrics().encode("utf-8")
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                    )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-            elif parsed.path == "/releases":
-                status, body = self.router.route_releases()
-                self._respond_raw(status, body)
-            elif parsed.path == "/query":
-                deadline = self._request_deadline()
-                query = parse_qs(parsed.query)
-                pattern = query.get("pattern", [""])[0]
-                release = query.get("release", [None])[0]
-                with self.router.admission():
-                    count = self.router.route_query(pattern, release, deadline)
-                self._respond(
-                    {
-                        "pattern": pattern,
-                        "release": release or self.router.default_release,
-                        "count": count,
-                    }
-                )
-            else:
-                self._error(f"unknown path {parsed.path!r}", 404)
-        except RouterHTTPError as error:
-            self._error(error.message, error.status, error.retry_after)
-        except Exception as error:  # noqa: BLE001 - JSON 500, not a raw traceback
-            self._error(f"internal error: {error}", 500)
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        raw = self._read_body()
-        try:
-            if self.path == "/mine":
-                # Validation happens at the worker (identical handler code),
-                # so error bodies relay verbatim without a router-side parse.
-                deadline = self._request_deadline()
-                with self.router.admission():
-                    status, body = self.router.route_mine(raw, deadline)
-                self._respond_raw(status, body)
-                return
-            if self.path == "/admin/reload":
-                reload_fn = self.router.reload_fn
-                if reload_fn is None:
-                    self._error("reload is not available", 503)
-                else:
-                    self._respond(reload_fn())
-                return
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError):
-                self._error("request body is not valid JSON", 400)
-                return
-            if not isinstance(payload, dict):
-                self._error("request body must be a JSON object", 400)
-                return
-            release = payload.get("release")
-            if self.path == "/query":
-                pattern = payload.get("pattern")
-                if not isinstance(pattern, str):
-                    self._error("'pattern' must be a string", 400)
-                    return
-                deadline = self._request_deadline()
-                with self.router.admission():
-                    count = self.router.route_query(pattern, release, deadline)
-                self._respond(
-                    {
-                        "pattern": pattern,
-                        "release": release or self.router.default_release,
-                        "count": count,
-                    }
-                )
-            elif self.path == "/batch":
-                patterns = payload.get("patterns")
-                if not isinstance(patterns, list) or not all(
-                    isinstance(p, str) for p in patterns
-                ):
-                    self._error("'patterns' must be a list of strings", 400)
-                    return
-                deadline = self._request_deadline()
-                with self.router.admission():
-                    status, body = self.router.route_batch(
-                        raw, payload, patterns, release, deadline
-                    )
-                self._respond_raw(status, body)
-            else:
-                self._error(f"unknown path {self.path!r}", 404)
-        except RouterHTTPError as error:
-            self._error(error.message, error.status, error.retry_after)
-        except Exception as error:  # noqa: BLE001 - JSON 500, not a raw traceback
-            self._error(f"internal error: {error}", 500)
-
-
-def create_router_server(
-    router: Router,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    verbose: bool = False,
-) -> ThreadingHTTPServer:
-    """A ready-to-run public-port server bound to ``host:port`` (port 0
-    picks a free port; read it back from ``server.server_address``)."""
-    server = ThreadingHTTPServer((host, port), _RouterHandler)
-    server.router = router  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    server.daemon_threads = True
-    return server

@@ -40,9 +40,9 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.exceptions import ReleaseNotFoundError, ReproError
-from repro.serving.cluster.router import Router, create_router_server
+from repro.serving.cluster.router import Router
 from repro.serving.cluster.workers import WorkerHandle, WorkerPool, WorkerTable
-from repro.serving.server import install_graceful_shutdown
+from repro.serving.server import create_server, install_graceful_shutdown
 from repro.serving.store import ReleaseStore
 
 __all__ = ["Cluster"]
@@ -64,7 +64,6 @@ class Cluster:
         worker_micro_batch: bool = False,
         max_batch: int = 256,
         max_wait: float = 0.002,
-        split_min_patterns: int = 512,
         heartbeat_interval: float = 0.25,
         http_heartbeat_interval: float = 2.0,
         heartbeat_misses: int = 3,
@@ -102,7 +101,6 @@ class Cluster:
             micro_batch=micro_batch,
             max_batch=max_batch,
             max_wait=max_wait,
-            split_min_patterns=split_min_patterns,
             retry_timeout=retry_timeout,
             max_inflight=max_inflight,
             shed_retry_after=shed_retry_after,
@@ -141,7 +139,7 @@ class Cluster:
         self.router.reload_fn = self.reload
         self.router.respawns_fn = lambda: self._respawns
         self.table.on_failure = self._note_failure
-        self._server = create_router_server(
+        self._server = create_server(
             self.router, self.host, self.requested_port, verbose=self.verbose
         )
         self._serve_thread = threading.Thread(

@@ -1,4 +1,4 @@
-"""A concurrent JSON query server over compiled private structures.
+"""The one HTTP front-end of the serving stack, and its local backend.
 
 Because every query against a released structure is post-processing, the
 server can answer arbitrary traffic — any number of clients, any patterns,
@@ -13,7 +13,15 @@ stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
 * ``POST /batch``            ``{"patterns": [...]}`` -> vectorized counts
 * ``POST /mine``             ``{"threshold": ..., ...}`` -> frequent patterns
 
-Every operational number lives in the service's
+One handler serves both topologies.  It owns body reading, validation,
+deadline refusal, error shaping and ``/metrics`` rendering, and hands each
+validated request to a *backend*: a :class:`QueryService` answers from
+local compiled releases, a :class:`~repro.serving.cluster.Router` relays
+the request bytes to a worker pool (whose workers run this same handler
+over a :class:`QueryService`).  Error bodies are therefore the same bytes
+whichever topology answers.
+
+Every operational number lives in the backend's
 :class:`repro.obs.MetricsRegistry` (request counters, per-endpoint latency
 histograms, micro-batch flush sizes, per-release cache statistics);
 ``/healthz`` and ``/metrics`` are two views of that one registry.
@@ -37,20 +45,24 @@ import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from repro import faults
 from repro.core.private_trie import PrivateCountingTrie
 from repro.exceptions import ReleaseNotFoundError, ReproError
-from repro.obs import MetricsRegistry, log_buckets, render_prometheus
+from repro.obs import MetricsRegistry, log_buckets, render_snapshot
 from repro.serving.compiled import CompiledTrie
 from repro.serving.resilience import DEADLINE_HEADER, Deadline
 from repro.serving.store import ReleaseStore
 
+if TYPE_CHECKING:
+    from repro.serving.cluster.router import Router
+
 __all__ = [
     "QueryService",
     "MicroBatcher",
+    "ServingHTTPError",
     "create_server",
     "serve_forever",
     "install_graceful_shutdown",
@@ -63,12 +75,30 @@ _ENDPOINTS = ("query", "batch", "mine", "healthz")
 #: default ``max_batch`` resolve them exactly enough.
 _FLUSH_SIZE_BUCKETS = log_buckets(1.0, 512.0, 2.0)
 
-#: chaos-drill injection site at the entry of every query-serving handler
-#: (``/query``, ``/batch``, ``/mine`` — health probes and metric scrapes
-#: stay clean so supervision and scraping remain deterministic under chaos).
+#: chaos-drill injection site at the entry of every locally answered
+#: ``/query``, ``/batch`` and ``/mine`` (health probes, metric scrapes and a
+#: router's relays stay clean, so supervision and scraping remain
+#: deterministic under chaos and only workers write ``worker.handle`` logs).
 _FP_HANDLE = faults.failpoint(
     "worker.handle", "Entry of every /query, /batch and /mine HTTP handler."
 )
+
+
+class ServingHTTPError(ReproError):
+    """An error answered as a JSON ``{"error": ...}`` body with ``status``.
+
+    ``retry_after`` (fractional seconds) becomes a ``Retry-After`` response
+    header — the hint to a resilient client about when a shed request is
+    worth re-sending.
+    """
+
+    def __init__(
+        self, status: int, message: str, *, retry_after: float | None = None
+    ) -> None:
+        super().__init__(message)
+        self.status = status
+        self.message = message
+        self.retry_after = retry_after
 
 
 class _PendingQuery:
@@ -76,7 +106,7 @@ class _PendingQuery:
 
     __slots__ = ("pattern", "release", "event", "result", "error")
 
-    def __init__(self, pattern: str, release: str) -> None:
+    def __init__(self, pattern: str, release: str | None) -> None:
         self.pattern = pattern
         self.release = release
         self.event = threading.Event()
@@ -85,7 +115,7 @@ class _PendingQuery:
 
 
 class MicroBatcher:
-    """Coalesces concurrent single queries into vectorized batch calls.
+    """Coalesces concurrent single queries into one flush per release.
 
     The worker flushes *eagerly*: a lone request is answered immediately
     (no artificial latency floor for sequential clients), while requests
@@ -93,33 +123,38 @@ class MicroBatcher:
     batch of up to ``max_batch`` on the next iteration — batching emerges
     from concurrency instead of from a fixed wait.  ``max_wait`` only
     bounds how long the idle worker sleeps between condition checks.
-    Singleton flushes take the LRU-cached single-query path, so hot
-    patterns under sequential traffic still hit the cache.
+
+    ``flush(release, patterns)`` answers one release's group and returns
+    its counts in order: the local service walks its compiled trie, the
+    router sends one worker ``/batch``.  A flush error reaches every waiter
+    of its group.  The flush counters and size histogram are registered in
+    ``metrics`` as ``{prefix}_microbatch_*``.
     """
 
     def __init__(
         self,
-        service: "QueryService",
+        flush: Callable[[str | None, list[str]], Sequence[float]],
+        metrics: MetricsRegistry,
         *,
+        prefix: str = "dpsc",
         max_batch: int = 256,
         max_wait: float = 0.002,
     ) -> None:
-        self._service = service
+        self._flush_group = flush
         self._max_batch = max_batch
         self._max_wait = max_wait
         self._queue: list[_PendingQuery] = []
         self._condition = threading.Condition()
         self._closed = False
-        metrics = service.metrics
         self._flushes = metrics.counter(
-            "dpsc_microbatch_flushes_total", "Micro-batch flushes executed."
+            f"{prefix}_microbatch_flushes_total", "Micro-batch flushes executed."
         )
         self._flushed_requests = metrics.counter(
-            "dpsc_microbatch_requests_total",
+            f"{prefix}_microbatch_requests_total",
             "Single queries answered through micro-batch flushes.",
         )
         self._flush_size = metrics.histogram(
-            "dpsc_microbatch_flush_size",
+            f"{prefix}_microbatch_flush_size",
             "Requests coalesced per micro-batch flush.",
             buckets=_FLUSH_SIZE_BUCKETS,
         )
@@ -136,12 +171,12 @@ class MicroBatcher:
     def requests_batched(self) -> int:
         return int(self._flushed_requests.value)
 
-    def submit(self, pattern: str, release: str) -> float:
+    def submit(self, pattern: str, release: str | None) -> float:
         """Enqueue one query and block until its batch is answered."""
         pending = _PendingQuery(pattern, release)
         with self._condition:
             if self._closed:
-                raise ReproError("micro-batcher is closed")
+                raise ServingHTTPError(503, "server is shutting down")
             self._queue.append(pending)
             self._condition.notify()
         pending.event.wait()
@@ -153,7 +188,7 @@ class MicroBatcher:
         with self._condition:
             self._closed = True
             self._condition.notify_all()
-        self._worker.join(timeout=1.0)
+        self._worker.join(timeout=5.0)
 
     def _run(self) -> None:
         while True:
@@ -171,27 +206,14 @@ class MicroBatcher:
         self._flushes.inc()
         self._flushed_requests.inc(len(batch))
         self._flush_size.observe(float(len(batch)))
-        by_release: dict[str, list[_PendingQuery]] = {}
+        by_release: dict[str | None, list[_PendingQuery]] = {}
         for pending in batch:
             by_release.setdefault(pending.release, []).append(pending)
         for release, group in by_release.items():
             try:
-                if len(group) == 1:
-                    # The cached array walk: sequential hot patterns keep
-                    # benefiting from the LRU even with batching enabled.
-                    group[0].result = float(
-                        self._service.release(release).query(group[0].pattern)
-                    )
-                else:
-                    # The *uncounted* batch path: these requests were
-                    # already counted as single queries in num_queries, so
-                    # routing the flush through the public batch() would
-                    # misreport them as /batch traffic in /healthz.
-                    counts = self._service.release(release).batch_query(
-                        [pending.pattern for pending in group]
-                    )
-                    for pending, count in zip(group, counts):
-                        pending.result = float(count)
+                counts = self._flush_group(release, [p.pattern for p in group])
+                for pending, count in zip(group, counts):
+                    pending.result = float(count)
             except Exception as error:  # propagate to every waiter
                 for pending in group:
                     pending.error = error
@@ -201,8 +223,9 @@ class MicroBatcher:
 
 
 class QueryService:
-    """Routes queries to named compiled releases; the HTTP layer and the CLI
-    both delegate here, so the logic is testable without sockets."""
+    """Routes queries to named compiled releases; the HTTP front-end (as its
+    local backend) and the CLI both delegate here, so the logic is testable
+    without sockets."""
 
     def __init__(
         self,
@@ -274,7 +297,9 @@ class QueryService:
                     lambda c=compiled, f=field_name: getattr(c.cache_info(), f)
                 )
         self._batcher = (
-            MicroBatcher(self, max_batch=max_batch, max_wait=max_wait)
+            MicroBatcher(
+                self._flush, self.metrics, max_batch=max_batch, max_wait=max_wait
+            )
             if micro_batch
             else None
         )
@@ -291,6 +316,19 @@ class QueryService:
                 f"release {resolved!r} is not served "
                 f"(serving: {sorted(self._releases)})"
             ) from None
+
+    def _flush(self, release: str, patterns: list[str]) -> Sequence[float]:
+        """One micro-batch group's counts."""
+        compiled = self.release(release)
+        if len(patterns) == 1:
+            # The cached array walk: sequential hot patterns keep
+            # benefiting from the LRU even with batching enabled.
+            return [compiled.query(patterns[0])]
+        # The *uncounted* batch path: these requests were already counted
+        # as single queries in num_queries, so routing the flush through
+        # the public batch() would misreport them as /batch traffic in
+        # /healthz.
+        return compiled.batch_query(patterns)
 
     def query(self, pattern: str, release: str | None = None) -> float:
         """One pattern's noisy count, via the micro-batcher when enabled."""
@@ -404,6 +442,47 @@ class QueryService:
                 payload["micro_batched_requests"] = self._batcher.requests_batched
             return payload
 
+    def metrics_snapshot(self) -> dict:
+        return self.metrics.snapshot()
+
+    def serve(
+        self,
+        endpoint: str,
+        args: dict,
+        request: tuple[str, str, bytes],
+        deadline: Deadline | None = None,
+    ) -> tuple[int, bytes]:
+        """The HTTP backend entry: one validated request's status and JSON
+        body.  ``request`` (method, path, body) and ``deadline`` matter only
+        to a backend that relays; the handler already refused an expired
+        deadline."""
+        if endpoint == "releases":
+            return _ok({"releases": self.releases_info()})
+        if endpoint == "reload":
+            raise ServingHTTPError(404, "unknown path '/admin/reload'")
+        _FP_HANDLE.hit()
+        release = args["release"]
+        name = release or self.default_release
+        if endpoint == "query":
+            count = self.query(args["pattern"], release)
+            return _ok({"pattern": args["pattern"], "release": name, "count": count})
+        if endpoint == "batch":
+            return _ok({"release": name, "counts": self.batch(args["patterns"], release)})
+        patterns = self.mine(
+            args["threshold"],
+            release,
+            min_length=args["min_length"],
+            max_length=args["max_length"],
+            exact_length=args["exact_length"],
+        )
+        return _ok(
+            {
+                "release": name,
+                "threshold": args["threshold"],
+                "patterns": [[p, c] for p, c in patterns],
+            }
+        )
+
     def close(self) -> None:
         if self._batcher is not None:
             self._batcher.close()
@@ -446,14 +525,71 @@ class QueryService:
         return cls(releases, **kwargs)
 
 
+def _ok(payload: dict) -> tuple[int, bytes]:
+    return 200, json.dumps(payload).encode("utf-8")
+
+
 def _is_int(value: object) -> bool:
     """True for JSON integers only (bool is an int subclass in Python —
     ``true`` is not a length)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _post_args(endpoint: str | None, payload: object) -> dict:
+    """The validated arguments of one POST body (a JSON 400 on any bad field)."""
+    if not isinstance(payload, dict):
+        # Valid JSON but not an object (e.g. a bare list or string) must be
+        # a JSON 400 too, not an unhandled AttributeError.
+        raise ServingHTTPError(400, "request body must be a JSON object")
+    release = payload.get("release")
+    if release is not None and not isinstance(release, str):
+        raise ServingHTTPError(400, "'release' must be a string or null")
+    if endpoint == "query":
+        pattern = payload.get("pattern")
+        if not isinstance(pattern, str):
+            raise ServingHTTPError(400, "'pattern' must be a string")
+        return {"pattern": pattern, "release": release}
+    if endpoint == "batch":
+        patterns = payload.get("patterns")
+        if not isinstance(patterns, list) or not all(
+            isinstance(p, str) for p in patterns
+        ):
+            raise ServingHTTPError(400, "'patterns' must be a list of strings")
+        return {"patterns": patterns, "release": release}
+    if endpoint == "mine":
+        threshold = payload.get("threshold")
+        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+            raise ServingHTTPError(400, "'threshold' must be a number")
+        min_length = payload.get("min_length", 1)
+        if not _is_int(min_length):
+            raise ServingHTTPError(400, "'min_length' must be an integer")
+        args = {"threshold": float(threshold), "release": release, "min_length": min_length}
+        for key in ("max_length", "exact_length"):
+            value = payload.get(key)
+            if value is not None and not _is_int(value):
+                raise ServingHTTPError(400, f"'{key}' must be an integer or null")
+            args[key] = value
+        return args
+    return {}
+
+
+#: POST paths and the endpoint each one names; anything else is a 404.
+_POST_ENDPOINTS = {
+    "/query": "query",
+    "/batch": "batch",
+    "/mine": "mine",
+    "/admin/reload": "reload",
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Thin JSON shim over the server's :class:`QueryService`."""
+    """The one HTTP front-end over ``server.backend`` (a :class:`QueryService`
+    or a :class:`~repro.serving.cluster.Router`).
+
+    Body reading, validation, deadline refusal, error shaping and
+    ``/metrics`` rendering live here once; the backend's ``serve`` sees
+    only validated requests and returns the status and body to send.
+    """
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-dpsc"
@@ -462,197 +598,138 @@ class _Handler(BaseHTTPRequestHandler):
     #: (~40ms), which would dwarf every sub-ms query.
     disable_nagle_algorithm = True
 
-    @property
-    def service(self) -> QueryService:
-        return self.server.service  # type: ignore[attr-defined]
-
     def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(format, *args)
 
     # ------------------------------------------------------------------
-    def _respond(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        retry_after: float | None = None,
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if retry_after is not None:
+            self.send_header("Retry-After", f"{retry_after:g}")
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, message: str, status: int) -> None:
-        self._respond({"error": message}, status=status)
+    def _error(
+        self, message: str, status: int, retry_after: float | None = None
+    ) -> None:
+        body = json.dumps({"error": message}).encode("utf-8")
+        self._send(status, body, retry_after=retry_after)
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        if not length:
-            return {}
-        return json.loads(self.rfile.read(length).decode("utf-8"))
+    def _read_body(self, needed: bool) -> bytes:
+        """The request body.  A missing-but-needed, negative or non-integer
+        ``Content-Length`` is a JSON 400 that also closes the connection:
+        where the next request starts is unknowable."""
+        header = self.headers.get("Content-Length")
+        if header is None and not needed:
+            return b""
+        if header is None or not (header.isascii() and header.strip().isdigit()):
+            self.close_connection = True
+            raise ServingHTTPError(
+                400,
+                "Content-Length header required"
+                if header is None
+                else f"invalid Content-Length {header!r}",
+            )
+        return self.rfile.read(int(header))
 
-    def _refuse_or_inject(self) -> bool:
-        """Deadline refusal + the ``worker.handle`` failpoint; ``True`` when
-        the request was already answered (or the connection dropped).
-
-        Called with the request body consumed, so an error response leaves
-        the keep-alive connection in sync.  An expired ``X-DPSC-Deadline``
-        means nobody is waiting for the answer anymore — refuse with 504
-        instead of burning worker time (the client's retry, if any budget
-        remains, carries a fresh deadline).
-        """
+    def _deadline(self) -> Deadline | None:
+        """The request's deadline; a 504 when it already expired — nobody
+        is waiting for the answer anymore, so no backend time is spent (the
+        client's retry, if any budget remains, carries a fresh deadline)."""
         deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
         if deadline is not None and deadline.expired():
-            self.service.note_deadline_exceeded()
-            self._error("deadline expired before the server began handling", 504)
-            return True
-        try:
-            _FP_HANDLE.hit()
-        except faults.FaultDropConnection:
-            # no response at all: the peer sees the socket close mid-request
-            self.close_connection = True
-            return True
-        except faults.FaultInjected as fault:
-            self._error(str(fault), 500)
-            return True
-        return False
+            self.server.backend.note_deadline_exceeded()  # type: ignore[attr-defined]
+            raise ServingHTTPError(504, "deadline expired before handling began")
+        return deadline
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        parsed = urlparse(self.path)
+        self._handle("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self._handle("POST")
+
+    def _handle(self, method: str) -> None:
         try:
-            if parsed.path == "/healthz":
-                self._respond(self.service.health())
-            elif parsed.path == "/metrics":
-                # Scrape traffic is not request traffic: /metrics reads the
-                # registry without touching the request counters.
-                query = parse_qs(parsed.query)
-                if query.get("format", [""])[0] == "json":
-                    self._respond(self.service.metrics.snapshot())
-                else:
-                    body = render_prometheus(self.service.metrics).encode("utf-8")
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                    )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-            elif parsed.path == "/releases":
-                self._respond({"releases": self.service.releases_info()})
-            elif parsed.path == "/query":
-                if self._refuse_or_inject():
-                    return
-                query = parse_qs(parsed.query)
-                pattern = query.get("pattern", [""])[0]
-                release = query.get("release", [None])[0]
-                self._respond(
-                    {
-                        "pattern": pattern,
-                        "release": release or self.service.default_release,
-                        "count": self.service.query(pattern, release),
-                    }
-                )
-            else:
-                self._error(f"unknown path {parsed.path!r}", 404)
+            self._route(method)
+        except ServingHTTPError as error:
+            self._error(error.message, error.status, error.retry_after)
         except ReleaseNotFoundError as error:
             self._error(str(error), 404)
         except ReproError as error:
             self._error(str(error), 400)
+        except faults.FaultDropConnection:
+            # no response at all: the peer sees the socket close mid-request
+            self.close_connection = True
+        except faults.FaultInjected as fault:
+            self._error(str(fault), 500)
         except Exception as error:  # noqa: BLE001 - JSON 500, not a raw traceback
             self._error(f"internal error: {error}", 500)
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        try:
-            payload = self._read_json()
-        except (ValueError, UnicodeDecodeError):
-            self._error("request body is not valid JSON", 400)
-            return
-        if not isinstance(payload, dict):
-            # Valid JSON but not an object (e.g. a bare list or string)
-            # must be a JSON 400 too, not an unhandled AttributeError.
-            self._error("request body must be a JSON object", 400)
-            return
-        if self._refuse_or_inject():
-            return
-        release = payload.get("release")
-        try:
-            if self.path == "/query":
-                pattern = payload.get("pattern")
-                if not isinstance(pattern, str):
-                    self._error("'pattern' must be a string", 400)
-                    return
-                self._respond(
-                    {
-                        "pattern": pattern,
-                        "release": release or self.service.default_release,
-                        "count": self.service.query(pattern, release),
-                    }
-                )
-            elif self.path == "/batch":
-                patterns = payload.get("patterns")
-                if not isinstance(patterns, list) or not all(
-                    isinstance(p, str) for p in patterns
-                ):
-                    self._error("'patterns' must be a list of strings", 400)
-                    return
-                self._respond(
-                    {
-                        "release": release or self.service.default_release,
-                        "counts": self.service.batch(patterns, release),
-                    }
-                )
-            elif self.path == "/mine":
-                threshold = payload.get("threshold")
-                if not isinstance(threshold, (int, float)) or isinstance(
-                    threshold, bool
-                ):
-                    self._error("'threshold' must be a number", 400)
-                    return
-                min_length = payload.get("min_length", 1)
-                if not _is_int(min_length):
-                    self._error("'min_length' must be an integer", 400)
-                    return
-                max_length = payload.get("max_length")
-                if max_length is not None and not _is_int(max_length):
-                    self._error("'max_length' must be an integer or null", 400)
-                    return
-                exact_length = payload.get("exact_length")
-                if exact_length is not None and not _is_int(exact_length):
-                    self._error("'exact_length' must be an integer or null", 400)
-                    return
-                patterns = self.service.mine(
-                    float(threshold),
-                    release,
-                    min_length=int(min_length),
-                    max_length=None if max_length is None else int(max_length),
-                    exact_length=None if exact_length is None else int(exact_length),
-                )
-                self._respond(
-                    {
-                        "release": release or self.service.default_release,
-                        "threshold": float(threshold),
-                        "patterns": [[p, c] for p, c in patterns],
-                    }
-                )
-            else:
-                self._error(f"unknown path {self.path!r}", 404)
-        except ReleaseNotFoundError as error:
-            self._error(str(error), 404)
-        except ReproError as error:
-            self._error(str(error), 400)
-        except Exception as error:  # noqa: BLE001 - JSON 500, not a raw traceback
-            self._error(f"internal error: {error}", 500)
+    def _route(self, method: str) -> None:
+        backend = self.server.backend  # type: ignore[attr-defined]
+        raw = b""
+        if method == "GET":
+            parsed = urlparse(self.path)
+            path, query = parsed.path, parse_qs(parsed.query)
+            if path == "/healthz":
+                self._send(*_ok(backend.health()))
+                return
+            if path == "/metrics":
+                # Scrape traffic is not request traffic: /metrics reads the
+                # registry without touching the request counters.
+                snapshot = backend.metrics_snapshot()
+                if query.get("format", [""])[0] == "json":
+                    self._send(*_ok(snapshot))
+                else:
+                    body = render_snapshot(snapshot).encode("utf-8")
+                    self._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
+                return
+            endpoint = {"/query": "query", "/releases": "releases"}.get(path)
+            args = {
+                "pattern": query.get("pattern", [""])[0],
+                "release": query.get("release", [None])[0],
+            }
+        else:
+            path = self.path
+            endpoint = _POST_ENDPOINTS.get(path)
+            raw = self._read_body(needed=endpoint != "reload")
+            try:
+                payload = json.loads(raw.decode("utf-8")) if raw else {}
+            except (ValueError, UnicodeDecodeError):
+                raise ServingHTTPError(400, "request body is not valid JSON") from None
+            args = _post_args(endpoint, payload)
+        if endpoint is None:
+            raise ServingHTTPError(404, f"unknown path {path!r}")
+        deadline = self._deadline()
+        self._send(*backend.serve(endpoint, args, (method, self.path, raw), deadline))
 
 
 def create_server(
-    service: QueryService,
+    backend: QueryService | Router,
     host: str = "127.0.0.1",
     port: int = 0,
     *,
     verbose: bool = False,
 ) -> ThreadingHTTPServer:
-    """A ready-to-run threading HTTP server bound to ``host:port`` (port 0
-    picks a free port; read it back from ``server.server_address``)."""
+    """A ready-to-run threading HTTP server over ``backend``, bound to
+    ``host:port`` (port 0 picks a free port; read it back from
+    ``server.server_address``).  ``backend`` is a :class:`QueryService` for
+    local releases or a :class:`~repro.serving.cluster.Router` for a worker
+    pool."""
     server = ThreadingHTTPServer((host, port), _Handler)
-    server.service = service  # type: ignore[attr-defined]
+    server.backend = backend  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
     server.daemon_threads = True
     return server

@@ -6,7 +6,8 @@ inside the tier-1 matrix.  The properties under test are the tier's
 acceptance contract:
 
 * every endpoint answers **bit-identically** to the single-process server,
-  including sharded-and-reassembled uniform batches;
+  and every malformed request gets the same status and error body from
+  both, because both run the one HTTP front-end;
 * the router's ``/healthz`` counters advance by exactly the traffic sent,
   and its merged ``/metrics`` passes the exposition validator with gauges
   per-worker-labelled (never summed);
@@ -18,9 +19,11 @@ acceptance contract:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -38,13 +41,13 @@ from repro.serving import (
     QueryService,
     ReleaseStore,
     ServingClient,
+    create_server,
     generate_workload,
     run_load_test_processes,
 )
-from repro.serving.cluster import shard_of
 
-UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one length -> split-eligible
-MIXED = ["ab", "aba", "b", "abab", "", "zz"]  # mixed lengths -> passthrough
+UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one pattern length
+MIXED = ["ab", "aba", "b", "abab", "", "zz"]  # mixed lengths
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +78,7 @@ def reference(store):
 
 @pytest.fixture(scope="module")
 def cluster(store):
-    with Cluster(store, workers=2, split_min_patterns=8) as cluster:
+    with Cluster(store, workers=2) as cluster:
         yield cluster
 
 
@@ -84,15 +87,52 @@ def client(cluster):
     return ServingClient(cluster.url)
 
 
-class TestShardOf:
-    def test_stable_and_in_range(self):
-        assignment = [shard_of(index, 4) for index in range(64)]
-        assert assignment == [shard_of(index, 4) for index in range(64)]
-        assert set(assignment) <= set(range(4))
+@pytest.fixture(scope="module")
+def single_url(store):
+    """The single-process server over the same store, for raw comparisons."""
+    service = QueryService.from_store(store, micro_batch=False)
+    server = create_server(service)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    service.close()
 
-    def test_spreads_over_shards(self):
-        used = {shard_of(index, 4) for index in range(64)}
-        assert used == set(range(4))
+
+def _exchange(url: str, request: bytes) -> tuple[int, bytes, http.client.HTTPResponse]:
+    """Send raw request bytes on a fresh socket and read one response.  The
+    socket timeout turns a server that waits for more bytes into a failure
+    instead of a hung test."""
+    host, port = url.removeprefix("http://").rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, response.read(), response
+
+
+def _post(path: str, body: bytes, *headers: str) -> bytes:
+    lines = [f"POST {path} HTTP/1.1", "Host: localhost", *headers]
+    if not any(header.lower().startswith("content-length") for header in headers):
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+
+
+#: malformed requests every front must refuse with the same status and body.
+BAD_REQUESTS = {
+    "bad JSON": _post("/query", b"{not json"),
+    "non-object JSON": _post("/batch", b"[1, 2]"),
+    "non-string pattern": _post("/query", b'{"pattern": 5}'),
+    "non-list patterns": _post("/batch", b'{"patterns": "ab"}'),
+    "bool min_length": _post("/mine", b'{"threshold": 1, "min_length": true}'),
+    "non-string release": _post("/batch", b'{"patterns": ["ab"], "release": ["x"]}'),
+    "unknown POST path": _post("/nope", b"{}"),
+    "unknown GET path": b"GET /nope HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    "expired deadline": _post("/query", b'{"pattern": "ab"}', "X-DPSC-Deadline: 1.0"),
+    "non-integer Content-Length": _post("/batch", b"", "Content-Length: abc"),
+    "negative Content-Length": _post("/batch", b"", "Content-Length: -1"),
+    "missing Content-Length": _post("/query", b"", "Content-Type: application/json"),
+}
 
 
 class TestParity:
@@ -100,18 +140,11 @@ class TestParity:
         for pattern in ("ab", "ba", "zz", "", "abab"):
             assert client.query(pattern) == reference.query(pattern)
 
-    def test_split_batch_bit_identical(self, client, reference, cluster):
-        before = client.healthz()["split_batches"]
+    def test_uniform_batch_bit_identical(self, client, reference):
         assert client.batch(UNIFORM) == reference.batch(UNIFORM)
-        assert client.healthz()["split_batches"] > before  # split path engaged
 
     def test_passthrough_batch_bit_identical(self, client, reference):
         assert client.batch(MIXED) == reference.batch(MIXED)
-
-    def test_small_batch_not_split(self, client, reference):
-        before = client.healthz()["split_batches"]
-        assert client.batch(["ab", "ba"]) == reference.batch(["ab", "ba"])
-        assert client.healthz()["split_batches"] == before
 
     def test_mine(self, client, reference):
         assert client.mine(1.0) == reference.mine(1.0)
@@ -125,30 +158,34 @@ class TestParity:
             assert info.pop("compiled_bytes") > 0
         assert via_router == serial
 
-    def test_raw_response_bytes_identical(self, cluster, store):
-        service = QueryService.from_store(store, micro_batch=False)
-        from repro.serving import create_server
+    def test_raw_response_bytes_identical(self, cluster, single_url):
+        body = json.dumps({"patterns": ["ab", "ba", "bb", "aa"] * 256}).encode("utf-8")
 
-        server = create_server(service)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            body = json.dumps({"patterns": UNIFORM}).encode("utf-8")
+        def raw(url):
+            request = urllib.request.Request(
+                f"{url}/batch",
+                data=body,
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                return response.read()
 
-            def raw(url):
-                request = urllib.request.Request(
-                    f"{url}/batch",
-                    data=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(request, timeout=30) as response:
-                    return response.read()
+        assert raw(cluster.url) == raw(single_url)
 
-            single = raw(f"http://127.0.0.1:{server.server_address[1]}")
-            assert raw(cluster.url) == single
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
+    @pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+    def test_error_parity(self, cluster, single_url, case):
+        status, body, _ = _exchange(single_url, BAD_REQUESTS[case])
+        assert 400 <= status < 600 and isinstance(json.loads(body)["error"], str)
+        assert _exchange(cluster.url, BAD_REQUESTS[case])[:2] == (status, body)
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_answers_400_and_closes(self, cluster, single_url, length):
+        request = _post("/batch", b'{"patterns": []}', f"Content-Length: {length}")
+        for url in (single_url, cluster.url):
+            status, body, response = _exchange(url, request)
+            assert status == 400
+            assert json.loads(body) == {"error": f"invalid Content-Length '{length}'"}
+            assert response.will_close  # the request's framing is unknown
 
 
 class TestHealthAndMetrics:
@@ -173,6 +210,36 @@ class TestHealthAndMetrics:
         assert after["batch_patterns"] - before["batch_patterns"] == len(MIXED)
         assert after["mines"] - before["mines"] == 1
 
+    def test_admin_reload_over_http(self, cluster, single_url):
+        request = _post("/admin/reload", b"")
+        status, body, _ = _exchange(cluster.url, request)
+        assert status == 200
+        assert json.loads(body) == {
+            "reloaded": False,
+            "generation": cluster.generation,
+            "versions": cluster.table.versions,
+        }
+        assert _exchange(single_url, request)[0] == 404  # nothing to reload
+
+    def test_shed_at_capacity_is_503_with_retry_after(self, cluster, client):
+        gate = cluster.router._gate
+        held = 0
+        while gate.try_enter():  # hold every admission slot
+            held += 1
+        try:
+            before = client.healthz()["sheds"]
+            status, body, response = _exchange(
+                cluster.url, _post("/batch", b'{"patterns": ["ab"]}')
+            )
+            assert status == 503
+            assert "at capacity" in json.loads(body)["error"]
+            assert float(response.getheader("Retry-After")) > 0
+            assert client.healthz()["sheds"] == before + 1
+        finally:
+            for _ in range(held):
+                gate.leave()
+        assert client.batch(["ab"]) == [client.query("ab")]
+
     def test_merged_metrics_validate(self, client):
         client.query("ab")  # ensure traffic on both tiers
         text = client.metrics()
@@ -190,9 +257,7 @@ class TestHealthAndMetrics:
 class TestWorkerCrash:
     def test_kill9_mid_batch_is_invisible_and_respawned(self, store, reference):
         expected = reference.batch(UNIFORM)
-        with Cluster(
-            store, workers=2, split_min_patterns=8, heartbeat_interval=0.1
-        ) as cluster:
+        with Cluster(store, workers=2, heartbeat_interval=0.1) as cluster:
             client = ServingClient(cluster.url, timeout=60)
             mismatches: list[int] = []
             errors: list[str] = []
@@ -283,7 +348,7 @@ class TestHotReload:
     ):
         store = ReleaseStore(tmp_path / "store")
         store.save("demo", structure)
-        with Cluster(store, workers=2, split_min_patterns=8) as cluster:
+        with Cluster(store, workers=2) as cluster:
             client = ServingClient(cluster.url, timeout=60)
             expected = client.batch(UNIFORM)
             stop = threading.Event()
