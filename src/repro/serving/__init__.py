@@ -31,7 +31,14 @@ PrivateCountingTrie` to serving millions of pattern queries:
     A stdlib ``ThreadingHTTPServer`` JSON API (``/query``, ``/batch``,
     ``/mine``, ``/releases``, ``/healthz``) with request micro-batching and
     per-release routing — one front-end for the single process and the
-    tier — plus a ``urllib``-based client.
+    tier — plus a client that one can share across threads: its calls
+    ride keep-alive connections, a reused connection the server closed
+    while idle is reopened once without counting a retry, and ``close()``
+    releases the idle ones.
+``transport``
+    :class:`~repro.serving.transport.ConnectionPool`, the thread-safe pool
+    of keep-alive HTTP/1.1 connections that the client and the cluster
+    router both send through.
 ``loadtest``
     A deterministic concurrency harness: seeded mixed workloads replayed
     from barrier-started threads — or spawned client *processes*

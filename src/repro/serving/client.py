@@ -2,8 +2,14 @@
 
 Analysts talk to a running server (``dpsc serve``) through this class or
 plain ``curl``; the wire format is the JSON API documented in
-:mod:`repro.serving.server`.  Only :mod:`urllib.request` is used, so the
-client works anywhere the library does.
+:mod:`repro.serving.server`.  Requests travel over keep-alive HTTP/1.1
+connections from the stdlib-only :class:`~repro.serving.transport.
+ConnectionPool`, so a client pays one TCP connect per concurrent caller,
+not one per call.  One client is safe to share across threads (each call
+checks out its own connection); :meth:`ServingClient.close` — or leaving a
+``with ServingClient(...)`` block — closes the idle connections, and a
+garbage-collected client closes them too.  Proxy environment variables
+(``HTTP_PROXY`` and friends) are not consulted.
 
 Resilience (docs/RESILIENCE.md):
 
@@ -20,6 +26,11 @@ Resilience (docs/RESILIENCE.md):
   deterministic per ``(seed, request sequence)``.  A ``Retry-After`` header
   on 503 (the router's load-shedding and no-live-worker answers) overrides
   the backoff delay.  HTTP 4xx is never retried.
+* **Stale keep-alive connections.**  A *reused* connection that the server
+  closed while it sat idle (``RemoteDisconnected``, ``ConnectionResetError``
+  or ``BrokenPipeError`` before any response) is reopened once, at once,
+  and does not count as a retry: a server closing an idle connection says
+  nothing about whether it can answer.
 * **Surfaced error payloads.**  :class:`ServingClientError` carries the
   server's JSON error payload, the endpoint, the HTTP status and the
   attempt count instead of swallowing the response body.
@@ -31,14 +42,14 @@ import http.client
 import itertools
 import json
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
+import weakref
 from typing import Mapping, Sequence
 
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry
 from repro.serving.resilience import DEADLINE_HEADER, BackoffPolicy, Deadline
+from repro.serving.transport import ConnectionPool
 
 __all__ = [
     "ServingClient",
@@ -60,6 +71,9 @@ DEFAULT_ENDPOINT_TIMEOUTS: Mapping[str, float] = {
 
 #: budget for endpoints not in :data:`DEFAULT_ENDPOINT_TIMEOUTS`.
 DEFAULT_TIMEOUT = 30.0
+
+#: default ports of the URL schemes the client speaks.
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 #: HTTP statuses worth retrying: every 5xx is either an upstream failure
 #: (502/503/504 from the router) or an injected/unexpected server error on
@@ -110,7 +124,9 @@ class ServingClient:
     ``timeout`` is the flat total budget per call; ``None`` (the default)
     uses :data:`DEFAULT_ENDPOINT_TIMEOUTS` per endpoint.  ``retries`` caps
     re-attempts on connection failures and 5xx responses; ``seed`` makes
-    the backoff delays replayable.
+    the backoff delays replayable.  ``base_url`` is ``http://`` or
+    ``https://``; connections to it are kept alive between calls until
+    :meth:`close`.
     """
 
     def __init__(
@@ -124,6 +140,17 @@ class ServingClient:
         endpoint_timeouts: Mapping[str, float] | None = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
+            raise ServingClientError(
+                f"base URL {base_url!r} is not an http:// or https:// URL"
+            )
+        self._origin = (
+            parts.scheme,
+            parts.hostname,
+            parts.port or _DEFAULT_PORTS[parts.scheme],
+        )
+        self._prefix = parts.path
         self.timeout = timeout
         self.retries = int(retries)
         self.backoff = backoff if backoff is not None else BackoffPolicy(cap=1.0)
@@ -143,9 +170,27 @@ class ServingClient:
             "dpsc_client_deadline_exceeded_total",
             "API calls abandoned because their total deadline ran out.",
         )
+        self._connects = self.telemetry.counter(
+            "dpsc_client_connects_total",
+            "TCP connections opened (keep-alive reuses them across calls).",
+        )
         #: per-request sequence feeding the backoff seed, so concurrent
         #: requests draw independent (but replayable) delay schedules.
         self._sequence = itertools.count()
+        self._pool = ConnectionPool(on_connect=self._connects.inc)
+        #: a client dropped without close() still closes its sockets.
+        self._finalizer = weakref.finalize(self, self._pool.close)
+
+    def close(self) -> None:
+        """Close the idle keep-alive connections.  Calls made afterwards
+        still work, on a connection each that is closed after the call."""
+        self._finalizer()
+
+    def __enter__(self) -> "ServingClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
@@ -172,13 +217,13 @@ class ServingClient:
         budget = timeout if timeout is not None else self.timeout_for(endpoint)
         deadline = Deadline.after(budget)
         url = f"{self.base_url}{path}"
-        data = None
+        method, data = "GET", None
         headers = {
             "Accept": "application/json" if decode == "json" else "text/plain",
             DEADLINE_HEADER: deadline.header_value(),
         }
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            method, data = "POST", json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         delays = self.backoff.iter_delays(f"{self.seed}:{next(self._sequence)}")
         attempts = 0
@@ -197,43 +242,47 @@ class ServingClient:
                     payload=last_payload,
                     attempts=attempts,
                 ) from None
-            request = urllib.request.Request(url, data=data, headers=headers)
             attempts += 1
             retry_after = None
             try:
-                with urllib.request.urlopen(request, timeout=remaining) as response:
-                    body = response.read()
-                if decode == "json":
-                    return json.loads(body.decode("utf-8"))
-                return body.decode("utf-8")
-            except urllib.error.HTTPError as error:
-                body = error.read()
+                response = self._pool.request(
+                    self._origin,
+                    method,
+                    self._prefix + path,
+                    data,
+                    headers,
+                    timeout=remaining,
+                    reopen_stale=True,
+                )
+            except (OSError, http.client.HTTPException) as error:
+                # refused/reset/timed-out sockets and malformed responses
+                last_status = 0
+                last_payload = None
+                last_failure = f"cannot reach {url}: {error}"
+            else:
+                if 200 <= response.status < 300:
+                    if decode == "json":
+                        return json.loads(response.body.decode("utf-8"))
+                    return response.body.decode("utf-8")
                 try:
-                    parsed = json.loads(body.decode("utf-8"))
+                    parsed = json.loads(response.body.decode("utf-8"))
                     last_payload = parsed if isinstance(parsed, dict) else None
                 except (ValueError, UnicodeDecodeError):
                     last_payload = None
-                last_status = error.code
+                last_status = response.status
                 message = (last_payload or {}).get("error") or (
-                    f"server returned HTTP {error.code}"
+                    f"server returned HTTP {response.status}"
                 )
-                if error.code not in _RETRYABLE_STATUSES:
+                if response.status not in _RETRYABLE_STATUSES:
                     raise ServingClientError(
                         message,
-                        error.code,
+                        response.status,
                         endpoint=endpoint,
                         payload=last_payload,
                         attempts=attempts,
-                    ) from None
-                last_failure = f"HTTP {error.code}: {message}"
-                retry_after = _parse_retry_after(error.headers.get("Retry-After"))
-            except (urllib.error.URLError, OSError, http.client.HTTPException) as error:
-                # URLError wraps the transport error in .reason; raw socket
-                # timeouts/resets mid-read arrive as OSError/HTTPException.
-                reason = getattr(error, "reason", error)
-                last_status = 0
-                last_payload = None
-                last_failure = f"cannot reach {url}: {reason}"
+                    )
+                last_failure = f"HTTP {response.status}: {message}"
+                retry_after = _parse_retry_after(response.headers.get("Retry-After"))
             if attempts > self.retries:
                 raise ServingClientError(
                     f"{endpoint} failed after {attempts} attempt(s); "

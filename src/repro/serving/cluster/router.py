@@ -41,7 +41,6 @@ import contextlib
 import http.client
 import itertools
 import json
-import socket
 import threading
 import time
 
@@ -56,6 +55,7 @@ from repro.serving.resilience import (
     Deadline,
 )
 from repro.serving.server import MicroBatcher, ServingHTTPError
+from repro.serving.transport import ConnectionPool
 
 __all__ = ["Router"]
 
@@ -75,6 +75,11 @@ _RELAY_RETRYABLE = (*_RETRYABLE, faults.FaultInjected, faults.FaultDropConnectio
 _FP_RELAY = faults.failpoint(
     "router.relay", "Entry of every router -> worker HTTP round-trip."
 )
+
+
+def _origin(worker: WorkerHandle) -> tuple[str, str, int]:
+    """The pool key of a worker (workers listen on localhost only)."""
+    return ("http", "127.0.0.1", worker.port)
 
 
 def _error_message(body: bytes, status: int) -> str:
@@ -193,7 +198,15 @@ class Router:
             "dpsc_router_worker_respawns", "Workers respawned after crashes."
         ).set_function(lambda: float(self.respawns_fn()))
         self._rr = itertools.count()
-        self._local = threading.local()
+        #: one keep-alive pool for every handler and the micro-batcher, so
+        #: worker connections outlive the short-lived client connections
+        #: whose handler threads use them.
+        self._pool = ConnectionPool(
+            on_connect=self.metrics.counter(
+                "dpsc_router_worker_connects_total",
+                "TCP connections the router opened to workers.",
+            ).inc
+        )
         self._batcher = (
             MicroBatcher(
                 self._flush,
@@ -214,32 +227,6 @@ class Router:
         versions = self.table.versions
         return sorted(versions)[0] if versions else None
 
-    @staticmethod
-    def _new_connection(port: int, timeout: float) -> http.client.HTTPConnection:
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-        conn.connect()
-        # Nagle + the peer's delayed ACK costs ~40ms per request on a
-        # reused keep-alive connection; queries are sub-millisecond.
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return conn
-
-    def _connection(self, port: int) -> http.client.HTTPConnection:
-        pool = self._local.__dict__.setdefault("connections", {})
-        conn = pool.get(port)
-        if conn is None:
-            conn = self._new_connection(port, self.worker_timeout)
-            pool[port] = conn
-        return conn
-
-    def _drop_connection(self, port: int) -> None:
-        pool = self._local.__dict__.setdefault("connections", {})
-        conn = pool.pop(port, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
-
     def forward(
         self,
         worker: WorkerHandle,
@@ -247,44 +234,38 @@ class Router:
         path: str,
         body: bytes | None = None,
         *,
-        pooled: bool = True,
         timeout: float | None = None,
         headers: dict[str, str] | None = None,
     ) -> tuple[int, bytes]:
         """One HTTP round-trip to one worker; raises on connection failure.
 
-        Pooled connections are keep-alive (workers speak HTTP/1.1) and
-        thread-local, so handler threads never contend on a socket.
-        Unpooled mode is for scrapes, which want a short timeout instead of
-        the batch-sized one.  ``headers`` rides on top of the defaults
-        (deadline propagation uses it).
+        The connection comes from the router's shared keep-alive pool
+        (workers speak HTTP/1.1).  A failed reused connection is *not*
+        silently reopened: every connection failure reaches the caller's
+        breaker and retry accounting, because to the router a worker that
+        dropped a connection may be a worker that died.  ``timeout``
+        defaults to ``worker_timeout`` (scrapes pass their shorter one);
+        ``headers`` rides on top of the defaults (deadline propagation uses
+        it).
         """
         _FP_RELAY.hit()
-        if pooled:
-            conn = self._connection(worker.port)
-        else:
-            conn = self._new_connection(
-                worker.port, timeout or self.scrape_timeout
-            )
-        try:
-            send_headers = (
-                {"Content-Type": "application/json"} if body is not None else {}
-            )
-            if headers:
-                send_headers.update(headers)
-            conn.request(method, path, body=body, headers=send_headers)
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-        except BaseException:
-            if pooled:
-                self._drop_connection(worker.port)
-            else:
-                conn.close()
-            raise
-        if not pooled:
-            conn.close()
-        return status, data
+        send_headers = {"Content-Type": "application/json"} if body is not None else {}
+        if headers:
+            send_headers.update(headers)
+        response = self._pool.request(
+            _origin(worker),
+            method,
+            path,
+            body,
+            send_headers,
+            timeout=timeout or self.worker_timeout,
+        )
+        return response.status, response.body
+
+    def retire(self, workers: list[WorkerHandle]) -> None:
+        """Close the idle connections to workers that left the table."""
+        for worker in workers:
+            self._pool.discard(_origin(worker))
 
     def _breaker(self, worker: WorkerHandle) -> CircuitBreaker:
         """The circuit breaker guarding one worker (keyed by port, so a
@@ -520,7 +501,7 @@ class Router:
         for worker in self.table.live():
             try:
                 status, body = self.forward(
-                    worker, "GET", "/metrics?format=json", pooled=False
+                    worker, "GET", "/metrics?format=json", timeout=self.scrape_timeout
                 )
                 if status != 200:
                     raise ValueError(f"scrape returned HTTP {status}")
@@ -533,3 +514,4 @@ class Router:
         if self._batcher is not None:
             self._batcher.close()
             self._batcher = None
+        self._pool.close()

@@ -18,15 +18,19 @@ limited HTTP ``/healthz`` probe (catches a wedged-but-running worker after
 **Hot reload.**  ``reload()`` resolves the store's current versions; when
 they differ from the served generation it spawns a *complete new
 generation* (all-ready or the reload fails and the old generation keeps
-serving), atomically swaps the router's table pointer, then gracefully
-drains the old workers.  Requests in flight on old workers finish (worker
-drain joins its handler threads); requests racing the swap retry onto the
-new generation.  Nothing is dropped, and no moment exists where a client
-can observe a mix of versions in one response.
+serving), atomically swaps the router's table pointer, drains the old
+workers, then closes the router's idle connections to them.  A worker's
+drain does not wait for its in-flight requests: one cut off by the old
+worker's exit fails at the connection level and, like every request
+racing the swap, retries onto the new generation.  Nothing is dropped,
+and no moment exists where a client can observe a mix of versions in one
+response.
 
 **Graceful shutdown.**  ``stop()`` drains outside-in: stop accepting at the
-router, join the router's in-flight handlers (which may still need
-workers), close the router's batcher, *then* drain the workers.  SIGTERM on
+router (requests arriving on kept-alive client connections from then on
+get a 503), close the router's batcher and connection pool, *then* drain
+the workers.  Router handlers still in flight are not joined — they
+finish or fail against draining workers.  SIGTERM on
 ``serve_forever`` triggers exactly this path via the same
 :func:`~repro.serving.server.install_graceful_shutdown` hook as the
 single-process server.
@@ -229,6 +233,7 @@ class Cluster:
         if self.table.replace(dead, replacement):
             self._respawns += 1
             self._last_probe.pop(dead.worker_id, None)
+            self.router.retire([dead])
         else:  # a generation swap won the race; the newcomer is surplus
             replacement.stop(timeout=5.0)
         try:
@@ -261,6 +266,7 @@ class Cluster:
             )
             old = self.table.swap(handles, generation, versions)
             self._drain_workers(old)
+            self.router.retire(old)
             return {
                 "reloaded": True,
                 "generation": generation,
@@ -291,8 +297,8 @@ class Cluster:
         self._wake.set()
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=10.0)
-        # Stop accepting, then join in-flight router handlers — they may
-        # still need workers, so workers drain last.
+        # Stop accepting first; requests still inside the router need
+        # workers, so workers drain last.
         self._server.shutdown()
         self._server.server_close()
         if self._serve_thread is not None:

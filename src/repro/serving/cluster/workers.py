@@ -23,9 +23,11 @@ Process discipline (all of it load-bearing for the cluster tests):
   cleanup runs — the OS closes the pipe, the read raises ``EOFError`` and
   the worker ``os._exit``\\ s.  Routers crash; workers must not linger.
 * **graceful drain** — a ``"stop"`` control message (or SIGTERM directly
-  to the worker) stops accepting, joins in-flight handler threads and
-  flushes the micro-batcher before the process exits, the same drain
-  order as the single-process path.
+  to the worker) stops accepting and flushes the micro-batcher before the
+  process exits, the same drain order as the single-process path.  Handler
+  threads are daemons and are not joined (they may sit on the router's idle
+  keep-alive connections): a request cut off by the exit is a connection
+  failure the router retries on another worker.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def worker_main(config: dict, conn) -> None:
         server.serve_forever()
     finally:
         restore()
-        server.server_close()  # block_on_close joins in-flight handlers
+        server.server_close()  # closes the listener; daemon handlers are not joined
         service.close()  # flushes queued micro-batches
         try:
             conn.send(("stopped",))

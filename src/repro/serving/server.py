@@ -662,6 +662,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         try:
+            if self.server.draining:  # type: ignore[attr-defined]
+                # a request on a kept-alive connection after shutdown began
+                # is new work: refuse it, as the closed listener would
+                self.close_connection = True
+                raise ServingHTTPError(503, "server is shutting down")
             self._route(method)
         except ServingHTTPError as error:
             self._error(error.message, error.status, error.retry_after)
@@ -716,6 +721,21 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(*backend.serve(endpoint, args, (method, self.path, raw), deadline))
 
 
+class _Server(ThreadingHTTPServer):
+    """One handler thread per connection.  The threads are daemons, so
+    ``server_close`` does not join them: a keep-alive client may hold an
+    idle connection (and its thread) open for as long as it likes, and
+    shutdown must not wait for it."""
+
+    daemon_threads = True
+    #: set when :meth:`shutdown` begins; handlers refuse requests from then on.
+    draining = False
+
+    def shutdown(self) -> None:
+        self.draining = True
+        super().shutdown()
+
+
 def create_server(
     backend: QueryService | Router,
     host: str = "127.0.0.1",
@@ -728,10 +748,9 @@ def create_server(
     ``server.server_address``).  ``backend`` is a :class:`QueryService` for
     local releases or a :class:`~repro.serving.cluster.Router` for a worker
     pool."""
-    server = ThreadingHTTPServer((host, port), _Handler)
+    server = _Server((host, port), _Handler)
     server.backend = backend  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
-    server.daemon_threads = True
     return server
 
 
@@ -780,11 +799,15 @@ def serve_forever(
     """Serve until SIGTERM/SIGINT (or KeyboardInterrupt), then drain.
 
     The drain order is the graceful-shutdown contract the cluster tier
-    reuses: stop accepting (``shutdown``), join the in-flight handler
-    threads (``server_close`` — ``block_on_close`` holds them), then flush
-    the micro-batcher (``service.close`` drains its queue before joining
-    the worker).  In-flight requests complete; only new connections are
-    refused.
+    reuses: stop accepting (``shutdown``; from then on a request arriving
+    on a kept-alive connection is answered 503 and the connection closed),
+    close the listener (``server_close``), then flush the micro-batcher
+    (``service.close`` drains its queue before joining the worker).
+    ``server_close`` does not join handler threads — they are daemons, so
+    idle keep-alive connections cannot hold shutdown up.  A request still
+    in flight when the process exits is cut off; behind a router, the
+    router retries it on another worker, which every endpoint, being an
+    idempotent read, allows.
     """
     server = create_server(service, host, port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]

@@ -14,7 +14,9 @@ acceptance contract:
 * a worker ``kill -9``'d mid-batch costs nothing: the router retries on a
   live sibling and the supervisor respawns the dead one;
 * killing the router process leaves **no orphan workers**;
-* hot reload swaps worker generations without dropping a request.
+* hot reload swaps worker generations without dropping a request;
+* the router keeps its worker connections alive across client
+  connections, and closes those to workers that left the table.
 """
 
 from __future__ import annotations
@@ -385,6 +387,60 @@ class TestHotReload:
         summary = cluster.reload()
         assert summary["reloaded"] is False
         assert summary["generation"] == cluster.generation
+
+
+def _connected_ports() -> list[int]:
+    """Remote ports of this process's TCP sockets (Linux ``/proc``)."""
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed since the listing
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target[len("socket:[") : -1])
+    ports = []
+    with open("/proc/self/net/tcp") as table:
+        next(table)  # header
+        for line in table:
+            fields = line.split()
+            if fields[9] in inodes:
+                ports.append(int(fields[2].rsplit(":", 1)[1], 16))
+    return ports
+
+
+class TestConnectionReuse:
+    def test_worker_connections_outlive_client_connections(self, cluster):
+        connects = cluster.router.metrics.get("dpsc_router_worker_connects_total")
+        body = json.dumps({"patterns": UNIFORM}).encode("utf-8")
+        request = _post("/batch", body, "Connection: close")
+        before = connects.value
+        for _ in range(100):
+            status, _, response = _exchange(cluster.url, request)
+            assert status == 200 and response.will_close
+        assert connects.value - before <= 2  # not one per client connection
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/net/tcp"), reason="needs Linux /proc"
+    )
+    def test_reloads_leave_no_connection_to_retired_workers(self, structure, tmp_path):
+        store = ReleaseStore(tmp_path / "store")
+        store.save("demo", structure)
+        with Cluster(store, workers=2) as cluster, ServingClient(
+            cluster.url, timeout=60
+        ) as client:
+            retired: set[int] = set()
+            for _ in range(3):
+                # batches relay on handler threads, queries on the batcher's
+                for pattern in ("ab", "ba", "bb"):
+                    client.query(pattern)
+                client.batch(UNIFORM)
+                ports = {worker.port for worker in cluster.workers()}
+                store.save("demo", structure)
+                assert cluster.reload()["reloaded"] is True
+                retired |= ports
+            client.batch(UNIFORM)
+            assert retired.isdisjoint(_connected_ports())
 
 
 class TestShutdown:

@@ -11,12 +11,15 @@ assumes when it verifies whole-cluster runs.  The client tests drive a
 scripted stub HTTP server so every retry decision — 5xx retried, 4xx
 surfaced immediately with the server's payload, ``Retry-After``
 overriding backoff, the total deadline cutting off retries — is observed
-on the wire.
+on the wire, and so is its keep-alive transport: one connection for
+sequential calls, an uncounted reopen of a connection the server closed
+while idle, and never a late reply read as the next call's answer.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -337,6 +340,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                     # keeps whatever casing the transport normalised to
                     "deadline": self.headers.get(DEADLINE_HEADER),
                     "body": body,
+                    "client": self.client_address,
                 }
             )
             step = server.script[min(index, len(server.script) - 1)]
@@ -358,12 +362,35 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveHandler(_ScriptedHandler):
+    """The scripted stub over HTTP/1.1: connections stay open between
+    requests, as on the real servers."""
+
+    protocol_version = "HTTP/1.1"
+    #: headers and body are two writes; Nagle would hold the second ~40ms
+    disable_nagle_algorithm = True
+
+
+class _StaleHandler(_KeepAliveHandler):
+    """Closes the connection after every response *without* sending
+    ``Connection: close`` — the client only finds out on its next request."""
+
+    def _serve(self) -> None:
+        super()._serve()
+        self.close_connection = True
+
+    do_GET = _serve
+    do_POST = _serve
+
+
 @pytest.fixture
 def scripted_server():
     servers = []
 
-    def start(script):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    def start(script, handler=_ScriptedHandler):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        # keep-alive handler threads must not hold up server_close
+        server.daemon_threads = True
         server.script = script
         server.requests = []
         server.lock = threading.Lock()
@@ -482,6 +509,110 @@ class TestServingClient:
             client.healthz()
         assert excinfo.value.status == 0
         assert excinfo.value.attempts == 3
+
+    def test_sequential_calls_share_one_connection(self, scripted_server):
+        server, url = scripted_server(
+            [{"status": 200, "body": {"count": 1.0}}], _KeepAliveHandler
+        )
+        with ServingClient(url) as client:
+            for _ in range(50):
+                assert client.query("ab") == 1.0
+            assert client.telemetry.get("dpsc_client_connects_total").value == 1
+        assert len({request["client"] for request in server.requests}) == 1
+
+    def test_stale_connection_is_reopened_without_a_retry(self, scripted_server):
+        server, url = scripted_server(
+            [{"status": 200, "body": {"count": 3.0}}], _StaleHandler
+        )
+        with ServingClient(url, retries=0) as client:
+            for _ in range(20):
+                assert client.query("ab") == 3.0
+            assert client.num_retries == 0
+            assert client.telemetry.get("dpsc_client_connects_total").value == 20
+        assert len(server.requests) == 20
+
+    def test_late_reply_is_never_read_as_the_next_answer(self, scripted_server):
+        server, url = scripted_server(
+            [
+                {"status": 200, "body": {"count": 1.0}, "sleep": 0.3},
+                {"status": 200, "body": {"count": 2.0}},
+            ],
+            _KeepAliveHandler,
+        )
+        with ServingClient(url, retries=0, backoff=FAST) as client:
+            with pytest.raises(ServingClientError):
+                client.query("ab", timeout=0.1)
+            time.sleep(0.5)  # the late reply to the first call has been sent
+            assert client.query("ab", timeout=5.0) == 2.0
+        assert len(server.requests) == 2
+
+    def test_one_client_shared_by_threads_is_bit_identical(self):
+        from repro.serving import (
+            QueryService,
+            create_server,
+            execute_operation,
+            generate_workload,
+            run_load_test,
+        )
+        from tests.serving.test_release_format import make_structure
+
+        service = QueryService(
+            {
+                "one": make_structure({"ab": 5.0, "ba": 3.0, "abb": 1.5}),
+                "two": make_structure({"ab": 2.0, "bb": 7.25, "bab": 4.0}),
+            }
+        )
+        server = create_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        workload = generate_workload(service, 240, seed=7)
+        expected = [execute_operation(service, operation) for operation in workload]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' pool use finely
+        try:
+            with ServingClient(f"http://127.0.0.1:{server.server_address[1]}") as client:
+                result = run_load_test(
+                    client, workload, threads=8, expected=expected, check=True
+                )
+                connects = client.telemetry.get("dpsc_client_connects_total").value
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            service.close()
+        assert not thread.is_alive()
+        assert result.bit_identical and result.counters_consistent
+        assert result.errors == []
+        assert 1 <= connects <= 8  # at most one connection per thread
+
+    @pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:1", "127.0.0.1:8080"])
+    def test_non_http_base_urls_are_rejected(self, base_url):
+        with pytest.raises(ServingClientError, match="http"):
+            ServingClient(base_url)
+
+    def test_https_base_urls_use_tls(self):
+        # a plain-HTTP stub cannot complete a TLS handshake: the call fails
+        # at the connection level, which proves the client spoke TLS
+        from repro.serving import QueryService, create_server
+        from tests.serving.test_release_format import make_structure
+
+        service = QueryService({"demo": make_structure({"ab": 5.0})}, micro_batch=False)
+        server = create_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        port = server.server_address[1]
+        try:
+            with ServingClient(f"https://127.0.0.1:{port}", retries=0) as client:
+                with pytest.raises(ServingClientError, match="cannot reach"):
+                    client.healthz()
+            with ServingClient(f"http://127.0.0.1:{port}") as client:
+                assert client.healthz()["status"] == "ok"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            service.close()
 
     def test_per_endpoint_timeout_defaults_and_flat_override(self):
         client = ServingClient("http://127.0.0.1:1")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -183,7 +184,8 @@ def http_client(structures):
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield ServingClient(f"http://{host}:{port}"), structures
+    with ServingClient(f"http://{host}:{port}") as client:
+        yield client, structures
     server.shutdown()
     server.server_close()
     service.close()
@@ -288,6 +290,33 @@ class TestHTTPEndToEnd:
         with pytest.raises(ServingClientError) as excinfo:
             client.healthz()
         assert excinfo.value.status == 0
+
+
+class TestShutdown:
+    def test_idle_keep_alive_connection_does_not_hold_up_shutdown(self, structures):
+        service = QueryService(structures, default_release="first")
+        server = create_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        with ServingClient(
+            f"http://127.0.0.1:{server.server_address[1]}", retries=1
+        ) as client:
+            assert client.query("ab") == structures["first"].query("ab")
+            # the client now holds an idle connection, and the server a
+            # handler thread blocked reading its next request
+            started = time.monotonic()
+            server.shutdown()
+            server.server_close()
+            assert time.monotonic() - started < 2.0
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            # the kept-alive connection is refused service (503, closed),
+            # and the retry finds no listener: a prompt error, no answer
+            with pytest.raises(ServingClientError) as excinfo:
+                client.query("ab")
+            assert excinfo.value.attempts == 2
+            assert time.monotonic() - started < 5.0
+        service.close()
 
 
 class TestFromStore:
