@@ -1996,55 +1996,6 @@ def run_release_format_benchmark(
 # ----------------------------------------------------------------------
 # E27 — sharded serving tier: throughput scaling over worker processes
 # ----------------------------------------------------------------------
-def _scale_client_main(url, body, expected, rounds, go, conn) -> None:
-    """One spawned batch-hammer client of the E27 measurement.
-
-    Sends the same uniform-q-gram ``/batch`` request ``rounds`` times over
-    one keep-alive connection, comparing every response float-for-float
-    against ``expected`` (the serial in-process answers).  Reports
-    ``(rounds_done, identical, error)`` back over ``conn``; the parent owns
-    the clock.
-    """
-    import http.client
-    import json as _json
-    import socket
-    from urllib.parse import urlparse
-
-    parsed = urlparse(url)
-    try:
-        connection = http.client.HTTPConnection(
-            parsed.hostname, parsed.port, timeout=300
-        )
-        connection.connect()
-        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError as error:
-        conn.send(("error", 0, False, repr(error)))
-        return
-    conn.send("ready")
-    go.wait()
-    identical = True
-    done = 0
-    try:
-        for _ in range(rounds):
-            connection.request(
-                "POST", "/batch", body, {"Content-Type": "application/json"}
-            )
-            response = connection.getresponse()
-            payload = response.read()
-            if response.status != 200:
-                raise RuntimeError(f"HTTP {response.status}: {payload[:200]!r}")
-            counts = _json.loads(payload.decode("utf-8"))["counts"]
-            if counts != expected:
-                identical = False
-            done += 1
-        conn.send(("done", done, identical, None))
-    except Exception as error:  # noqa: BLE001 - reported to the parent
-        conn.send(("error", done, identical, repr(error)))
-    finally:
-        connection.close()
-        conn.close()
-
-
 def _mapping_private_kb(pid: int, needle: str = ".dpsb") -> "int | None":
     """Private (unique) resident kilobytes of a process's ``needle``
     mappings, from ``/proc/<pid>/smaps`` (``None`` off-Linux)."""
@@ -2069,73 +2020,6 @@ def _mapping_private_kb(pid: int, needle: str = ".dpsb") -> "int | None":
     return private if found else None
 
 
-def _drive_scale_clients(
-    url: str,
-    body: bytes,
-    expected: "list[float]",
-    *,
-    clients: int,
-    rounds: int,
-    mid_run=None,
-) -> dict:
-    """Hammer ``url`` from ``clients`` spawned processes; return totals.
-
-    ``mid_run`` (optional) is called in the parent roughly mid-measurement
-    — the hook the crash drill uses to ``kill -9`` a worker while batches
-    are in flight.
-    """
-    import multiprocessing
-
-    spawn = multiprocessing.get_context("spawn")
-    go = spawn.Event()
-    members = []
-    try:
-        for index in range(clients):
-            parent_conn, child_conn = spawn.Pipe(duplex=False)
-            process = spawn.Process(
-                target=_scale_client_main,
-                args=(url, body, expected, rounds, go, child_conn),
-                name=f"e27-client-{index}",
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            members.append((process, parent_conn))
-        for index, (_, parent_conn) in enumerate(members):
-            if not parent_conn.poll(120):
-                raise RuntimeError(f"E27 client {index} never became ready")
-            message = parent_conn.recv()
-            if message != "ready":
-                raise RuntimeError(f"E27 client {index} failed: {message[3]}")
-        go.set()
-        started = time.perf_counter()
-        if mid_run is not None:
-            mid_run()
-        reports = []
-        for index, (_, parent_conn) in enumerate(members):
-            if not parent_conn.poll(600):
-                raise RuntimeError(f"E27 client {index} never finished")
-            reports.append(parent_conn.recv())
-        seconds = time.perf_counter() - started
-    finally:
-        for process, parent_conn in members:
-            process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover - hung client
-                process.terminate()
-                process.join(2)
-            try:
-                parent_conn.close()
-            except OSError:  # pragma: no cover
-                pass
-    errors = [report[3] for report in reports if report[0] == "error"]
-    return {
-        "seconds": seconds,
-        "rounds_done": sum(report[1] for report in reports),
-        "bit_identical": all(report[2] for report in reports) and not errors,
-        "errors": errors,
-    }
-
-
 def run_serving_scale(
     worker_counts: Sequence[int] = (1, 2, 4, 8),
     *,
@@ -2152,12 +2036,13 @@ def run_serving_scale(
     A synthetic release is published once into a scratch store; uniform
     q-gram ``/batch`` traffic (every pattern the same length, the compiled
     trie's fastest path) is then driven over HTTP by spawned client
-    processes — first at the single-process server (the baseline row), then
-    at clusters of 1/2/4/... workers.  Each row records aggregate pattern
-    throughput, the speedup over the baseline, and two correctness gates
-    measured, not assumed:
+    processes of :func:`~repro.serving.run_load_test` — first at the
+    single-process server (the baseline row), then at clusters of
+    1/2/4/... workers.  Each row records aggregate pattern throughput, the
+    speedup over the baseline, and two correctness gates measured, not
+    assumed:
 
-    * **bit identity** — every client compares every response
+    * **bit identity** — the driver compares every response
       float-for-float against the serial in-process answers, and one raw
       response body from the router is compared byte-for-byte against the
       single-process server's for the identical request;
@@ -2167,9 +2052,11 @@ def run_serving_scale(
       the one page-cache copy.
 
     The largest multi-worker cluster additionally runs a **crash drill**:
-    a worker is ``kill -9``'d while batches are in flight, and the run
-    still must return complete, bit-identical results (router retry) with
-    the worker respawned by the supervisor afterwards.
+    the driver's ``mid_run`` hook ``kill -9``'s a worker while batches are
+    in flight, and the run still must return complete, bit-identical
+    results with the worker respawned by the supervisor afterwards.  The
+    clients never retry (``retries=0``), so only the router's retry can
+    hide the crash.
 
     Speedup *numbers* are environment-honest: the row records
     ``available_cpus``, and the benchmark gates its speedup floors on it —
@@ -2184,7 +2071,15 @@ def run_serving_scale(
     from pathlib import Path
     from urllib.parse import urlparse
 
-    from repro.serving import Cluster, QueryService, ReleaseStore, create_server
+    from repro.serving import (
+        Cluster,
+        Operation,
+        QueryService,
+        ReleaseStore,
+        ServingClient,
+        create_server,
+        run_load_test,
+    )
 
     compiled = _synthetic_release(target_nodes, seed=seed)
     pattern_rng = np.random.default_rng(seed + 1)
@@ -2195,6 +2090,21 @@ def run_serving_scale(
     ]
     expected = [float(count) for count in compiled.batch_query(patterns)]
     body = json.dumps({"patterns": patterns}).encode("utf-8")
+    operation = Operation(kind="batch", patterns=tuple(patterns))
+
+    def drive(url: str, rounds: int, mid_run=None):
+        """``rounds`` identical batches per client process, no client retry."""
+        workload = [operation] * (clients * rounds)
+        with ServingClient(url, timeout=300, retries=0) as client:
+            return run_load_test(
+                client,
+                workload,
+                processes=clients,
+                expected=[expected] * len(workload),
+                verify_counters=False,
+                mid_run=mid_run,
+            )
+
     try:
         available_cpus = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
@@ -2229,15 +2139,14 @@ def run_serving_scale(
                 connection.close()
 
         single_reference = raw_batch(single_url)
-        outcome = _drive_scale_clients(
-            single_url, body, expected, clients=clients, rounds=rounds
-        )
+        outcome = drive(single_url, rounds)
         server.shutdown()
         server.server_close()
         service.close()
-        patterns_total = outcome["rounds_done"] * batch_size
+        rounds_done = outcome.operations - len(outcome.errors)
+        patterns_total = rounds_done * batch_size
         single_throughput = (
-            patterns_total / outcome["seconds"] if outcome["seconds"] else 0.0
+            patterns_total / outcome.seconds if outcome.seconds else 0.0
         )
         rows.append(
             {
@@ -2245,14 +2154,14 @@ def run_serving_scale(
                 "workers": 0,
                 "clients": clients,
                 "batch_size": batch_size,
-                "rounds": outcome["rounds_done"],
+                "rounds": rounds_done,
                 "patterns_served": patterns_total,
-                "seconds": outcome["seconds"],
+                "seconds": outcome.seconds,
                 "patterns_per_second": single_throughput,
                 "speedup_vs_single": 1.0,
-                "bit_identical": outcome["bit_identical"],
+                "bit_identical": outcome.bit_identical,
                 "response_bytes_identical": True,
-                "errors": len(outcome["errors"]),
+                "errors": len(outcome.errors),
                 "available_cpus": available_cpus,
             }
         )
@@ -2264,9 +2173,7 @@ def run_serving_scale(
         for workers in worker_counts:
             with Cluster(store, workers=workers) as cluster:
                 bytes_identical = raw_batch(cluster.url) == single_reference
-                outcome = _drive_scale_clients(
-                    cluster.url, body, expected, clients=clients, rounds=rounds
-                )
+                outcome = drive(cluster.url, rounds)
                 worker_private_kb = None
                 if measure_rss:
                     measured = [
@@ -2284,13 +2191,8 @@ def run_serving_scale(
                         time.sleep(0.1)  # let batches get in flight
                         handle.kill()
 
-                    drill = _drive_scale_clients(
-                        cluster.url,
-                        body,
-                        expected,
-                        clients=clients,
-                        rounds=max(4, rounds // 2),
-                        mid_run=kill_victim,
+                    drill = drive(
+                        cluster.url, max(4, rounds // 2), mid_run=kill_victim
                     )
                     deadline = time.monotonic() + 30
                     while (
@@ -2299,31 +2201,29 @@ def run_serving_scale(
                     ):
                         time.sleep(0.05)
                     drill_ok = (
-                        drill["bit_identical"]
-                        and not drill["errors"]
+                        drill.bit_identical
                         and cluster.respawns >= 1
                         and len(cluster.table.live()) == workers
                     )
                     drill_respawns = cluster.respawns
-            patterns_total = outcome["rounds_done"] * batch_size
-            throughput = (
-                patterns_total / outcome["seconds"] if outcome["seconds"] else 0.0
-            )
+            rounds_done = outcome.operations - len(outcome.errors)
+            patterns_total = rounds_done * batch_size
+            throughput = patterns_total / outcome.seconds if outcome.seconds else 0.0
             row = {
                 "mode": "cluster",
                 "workers": workers,
                 "clients": clients,
                 "batch_size": batch_size,
-                "rounds": outcome["rounds_done"],
+                "rounds": rounds_done,
                 "patterns_served": patterns_total,
-                "seconds": outcome["seconds"],
+                "seconds": outcome.seconds,
                 "patterns_per_second": throughput,
                 "speedup_vs_single": (
                     throughput / single_throughput if single_throughput else 0.0
                 ),
-                "bit_identical": outcome["bit_identical"],
+                "bit_identical": outcome.bit_identical,
                 "response_bytes_identical": bool(bytes_identical),
-                "errors": len(outcome["errors"]),
+                "errors": len(outcome.errors),
                 "available_cpus": available_cpus,
             }
             if worker_private_kb is not None:
@@ -2334,7 +2234,7 @@ def run_serving_scale(
             if drill_ok is not None:
                 row["crash_drill_ok"] = bool(drill_ok)
                 row["crash_drill_respawns"] = int(drill_respawns)
-                row["crash_drill_errors"] = len(drill["errors"])
+                row["crash_drill_errors"] = len(drill.errors)
             rows.append(row)
     return rows
 
@@ -2524,16 +2424,18 @@ def run_chaos_drill(
     inherited environment in every spawned worker) and every
     ``relay_every``-th router→worker round-trip raises an injected
     connection reset (``router.relay``, armed in the router process).
-    Resilient :class:`~repro.serving.ServingClient`\\ s then hammer
-    ``/query`` and ``/batch`` under a per-request deadline while one worker
-    is ``kill -9``'d mid-run.  The drill row records three gates measured,
-    not assumed:
+    :func:`~repro.serving.run_load_test` then replays a seeded list of
+    ``/query`` and 16-pattern ``/batch`` operations from ``clients``
+    threads sharing one resilient :class:`~repro.serving.ServingClient`,
+    under a per-request deadline, while its ``mid_run`` hook ``kill -9``'s
+    one worker.  The drill row records three gates measured, not assumed:
 
     * **zero client-visible errors** — every injected fault and the crash
       are absorbed by retries, breakers and respawn; every answer is
       bit-identical to the in-process reference;
-    * **bounded tail latency** — client p99 stays under the per-request
-      deadline (nothing hung on a dead worker);
+    * **bounded tail latency** — client p99 (the largest of the per-kind
+      p99s) stays under the per-request deadline (nothing hung on a dead
+      worker);
     * **replay-identical injection** — the injection logs written by the
       router and by every worker verify exactly against the pure
       recomputation of the seeded schedule
@@ -2554,10 +2456,12 @@ def run_chaos_drill(
     from repro import faults
     from repro.serving import (
         Cluster,
+        Operation,
         QueryService,
         ReleaseStore,
         ServingClient,
         create_server,
+        run_load_test,
     )
 
     compiled = _synthetic_release(target_nodes, seed=seed)
@@ -2571,6 +2475,19 @@ def run_chaos_drill(
     expected_single = {
         pattern: expected_batch[index] for index, pattern in enumerate(patterns)
     }
+    workload_rng = np.random.default_rng(seed + 100)
+    workload: list = []
+    expected: list = []
+    for step in range(clients * requests_per_client):
+        if step % 4 == 0:
+            lo = int(workload_rng.integers(0, batch_size - 16))
+            subset = tuple(patterns[lo : lo + 16])
+            workload.append(Operation(kind="batch", patterns=subset))
+            expected.append([expected_single[p] for p in subset])
+        else:
+            pattern = patterns[int(workload_rng.integers(batch_size))]
+            workload.append(Operation(kind="query", pattern=pattern))
+            expected.append(expected_single[pattern])
 
     worker_spec = faults.FaultSpec(
         site="worker.handle", action="raise", exc="fault", every=worker_every
@@ -2597,58 +2514,23 @@ def run_chaos_drill(
         try:
             faults.arm([relay_spec], seed=seed, scope="router")
             with Cluster(store, workers=workers) as cluster:
-                url = cluster.url
-                latencies: list[float] = []
-                client_errors: list[str] = []
-                mismatches = [0]
-                retries_total = [0]
-                lock = threading.Lock()
 
-                def hammer(client_index: int) -> None:
-                    client = ServingClient(
-                        url,
-                        timeout=request_deadline,
-                        retries=8,
-                        seed=seed * 1000 + client_index,
+                def kill_worker() -> None:
+                    time.sleep(0.2)  # let traffic get in flight, then crash one
+                    cluster.workers()[0].kill()
+
+                with ServingClient(
+                    cluster.url, timeout=request_deadline, retries=8, seed=seed
+                ) as client:
+                    result = run_load_test(
+                        client,
+                        workload,
+                        threads=clients,
+                        expected=expected,
+                        verify_counters=False,
+                        mid_run=kill_worker,
                     )
-                    rng = np.random.default_rng(seed + 100 + client_index)
-                    local_latencies = []
-                    for step in range(requests_per_client):
-                        started = time.perf_counter()
-                        try:
-                            if step % 4 == 0:
-                                lo = int(rng.integers(0, batch_size - 16))
-                                subset = patterns[lo : lo + 16]
-                                counts = client.batch(subset)
-                                ok = counts == [
-                                    expected_single[p] for p in subset
-                                ]
-                            else:
-                                pattern = patterns[int(rng.integers(batch_size))]
-                                ok = client.query(pattern) == expected_single[
-                                    pattern
-                                ]
-                            if not ok:
-                                with lock:
-                                    mismatches[0] += 1
-                        except Exception as error:  # client-visible failure
-                            with lock:
-                                client_errors.append(repr(error))
-                        local_latencies.append(time.perf_counter() - started)
-                    with lock:
-                        latencies.extend(local_latencies)
-                        retries_total[0] += client.num_retries
-
-                threads = [
-                    threading.Thread(target=hammer, args=(index,), daemon=True)
-                    for index in range(clients)
-                ]
-                for thread in threads:
-                    thread.start()
-                time.sleep(0.2)  # let traffic get in flight, then crash one
-                cluster.workers()[0].kill()
-                for thread in threads:
-                    thread.join(timeout=120)
+                    client_retries = client.num_retries
                 deadline = time.monotonic() + 30
                 while (
                     len(cluster.table.live()) < workers
@@ -2674,19 +2556,19 @@ def run_chaos_drill(
             [worker_spec, relay_spec],
             seed=seed,
         )
-        ordered = sorted(latencies)
-        p50 = ordered[len(ordered) // 2] if ordered else 0.0
-        p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))] if ordered else 0.0
+        # Per-kind maxima bound the pooled percentiles from above.
+        p50 = max((q["p50"] for q in result.percentiles.values()), default=0.0)
+        p99 = max((q["p99"] for q in result.percentiles.values()), default=0.0)
         rows.append(
             {
                 "mode": "chaos-drill",
                 "workers": workers,
                 "clients": clients,
-                "requests_total": clients * requests_per_client,
-                "client_errors": len(client_errors),
-                "mismatches": mismatches[0],
-                "zero_failures": not client_errors and not mismatches[0],
-                "client_retries": retries_total[0],
+                "requests_total": result.operations,
+                "client_errors": len(result.errors),
+                "mismatches": len(result.mismatches),
+                "zero_failures": result.bit_identical,
+                "client_retries": client_retries,
                 "router_retries": int(health["retries"]),
                 "sheds": int(health["sheds"]),
                 "deadline_exceeded": int(health["deadline_exceeded"]),

@@ -475,7 +475,6 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         execute_operation,
         generate_workload,
         run_load_test,
-        run_load_test_processes,
     )
 
     try:
@@ -569,14 +568,22 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         )
         failures = 0
         rows = []
-
-        def report(result, label):
-            nonlocal failures
+        lanes = [("threads", count) for count in thread_counts]
+        lanes += [("processes", count) for count in process_counts]
+        for kind, count in lanes:
+            result = run_load_test(
+                target,
+                workload,
+                **{kind: count},
+                expected=expected,
+                verify_counters=verify_counters,
+            )
             ok = result.bit_identical and (
                 result.counters_consistent or not verify_counters
             )
             failures += 0 if ok else 1
             rows.append(result.row())
+            label = f"{count}{kind[0]}"
             print(
                 f"{label:>9s} {result.operations:7d} "
                 f"{result.seconds:9.3f} {result.ops_per_second:10.0f} "
@@ -584,34 +591,14 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
                 f"{str(result.bit_identical):>9s} "
                 f"{str(result.counters_consistent):>8s}"
             )
-            for kind in sorted(result.percentiles):
-                quantiles = result.percentiles[kind]
+            for name in sorted(result.percentiles):
                 rendered = "  ".join(
-                    f"{name}={value * 1e3:.3f}ms"
-                    for name, value in quantiles.items()
+                    f"{quantile}={value * 1e3:.3f}ms"
+                    for quantile, value in result.percentiles[name].items()
                 )
-                print(f"          {kind:8s} {rendered}")
+                print(f"          {name:8s} {rendered}")
             for line in result.errors[:5]:
                 print(f"  error: {line}", file=sys.stderr)
-
-        for threads in thread_counts:
-            result = run_load_test(
-                target,
-                workload,
-                threads=threads,
-                expected=expected,
-                verify_counters=verify_counters,
-            )
-            report(result, f"{threads}t")
-        for processes in process_counts:
-            result = run_load_test_processes(
-                target.base_url,
-                workload,
-                processes=processes,
-                expected=expected,
-                verify_counters=verify_counters,
-            )
-            report(result, f"{processes}p")
         if args.json:
             with open(args.json, "w", encoding="utf-8") as handle:
                 json.dump({"results": rows}, handle, indent=2)
@@ -625,6 +612,8 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
     finally:
         if service is not None:
             service.close()
+        else:
+            target.close()
         if cluster is not None:
             cluster.stop()
     return 0

@@ -40,10 +40,11 @@ PrivateCountingTrie` to serving millions of pattern queries:
     of keep-alive HTTP/1.1 connections that the client and the cluster
     router both send through.
 ``loadtest``
-    A deterministic concurrency harness: seeded mixed workloads replayed
-    from barrier-started threads — or spawned client *processes*
-    (``run_load_test_processes``) — checked bit-identical against a serial
-    replay (``dpsc bench-load``, E23).
+    A deterministic concurrency harness: :func:`run_load_test`, the one
+    bounded load driver, replays seeded workloads from simultaneously
+    released threads or spawned client *processes*, checked bit-identical
+    against a serial replay, with a ``mid_run`` hook for crash drills
+    (``dpsc bench-load``, E23, E27, E29).
 ``cluster``
     The multi-process serving tier: a relaying router on the public port
     over N pre-forked workers mmap-sharing one release copy,
@@ -89,7 +90,6 @@ from repro.serving.loadtest import (
     execute_operation,
     generate_workload,
     run_load_test,
-    run_load_test_processes,
 )
 from repro.serving.schedule import EpochRelease, EpochScheduler
 from repro.serving.server import (
@@ -125,7 +125,6 @@ __all__ = [
     "execute_operation",
     "generate_workload",
     "run_load_test",
-    "run_load_test_processes",
     "MicroBatcher",
     "QueryService",
     "ServingHTTPError",

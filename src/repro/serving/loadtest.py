@@ -1,11 +1,11 @@
 """A deterministic load-test harness for the query-serving stack.
 
-The serving layer's concurrency claim — any number of handler threads may
-hammer a released structure and every answer is still exact post-processing
-— is only as good as the harness that can falsify it.  This module
-generates a *seeded* mixed workload (``query`` / ``batch`` / ``mine`` /
-``healthz`` operations), replays it once serially to fix the expected
-answers, then replays it again from ``N`` barrier-started threads and
+The serving layer's concurrency claim — any number of clients may hammer a
+released structure and every answer is still exact post-processing — is
+only as good as the harness that can falsify it.  This module generates a
+*seeded* mixed workload (``query`` / ``batch`` / ``mine`` / ``healthz``
+operations), replays it once serially to fix the expected answers, then
+replays it again from ``N`` simultaneously released client lanes and
 checks three properties:
 
 1. **bit-identical results** — every concurrent answer equals the serial
@@ -16,10 +16,14 @@ checks three properties:
 3. **consistent counters** — the service's ``/healthz`` counters advance by
    exactly the workload's operation totals (exact, not best-effort).
 
-The harness drives either a :class:`~repro.serving.server.QueryService`
-directly (in-process, what ``tests/serving/test_concurrency.py`` and E23
-use) or a :class:`~repro.serving.client.ServingClient` pointed at a live
-HTTP server (``dpsc bench-load --url``).
+:func:`run_load_test` is the one bounded load driver.  Its lanes are
+threads sharing a :class:`~repro.serving.server.QueryService` (in-process,
+what ``tests/serving/test_concurrency.py`` and E23 use) or a
+:class:`~repro.serving.client.ServingClient` pointed at a live HTTP server
+(``dpsc bench-load --url``), or spawned client processes against a
+``ServingClient``'s server (``dpsc bench-load --processes``, the E27
+scaling runs).  A ``mid_run`` hook runs once the lanes are released: the
+E27 crash drill and the E29 chaos drill kill a worker from it.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.exceptions import ReproError
 from repro.obs import Histogram
+from repro.serving.client import ServingClient
 
 __all__ = [
     "Operation",
@@ -43,12 +48,16 @@ __all__ = [
     "expected_counter_deltas",
     "execute_operation",
     "run_load_test",
-    "run_load_test_processes",
 ]
 
 #: client processes are spawned (same rationale as the serving workers: no
 #: inherited locks, and identical behaviour across platforms).
 _SPAWN = multiprocessing.get_context("spawn")
+
+#: seconds a spawned client may take to start up and report ready, and
+#: then to report its results once released.
+SPAWN_TIMEOUT = 120.0
+RUN_TIMEOUT = 600.0
 
 #: default traffic mix: (query, batch, mine, healthz) probabilities.
 DEFAULT_MIX = (0.62, 0.25, 0.03, 0.10)
@@ -85,7 +94,8 @@ class LoadTestResult:
     mismatches: list[int] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
     counters_consistent: bool = True
-    #: client *processes* driving the replay (0 for the threaded harness).
+    #: client *processes* driving the replay (0 for thread lanes, whose
+    #: count is ``threads``; ``threads`` is 0 for process lanes).
     processes: int = 0
     #: per-operation-kind latency percentiles observed *during the
     #: concurrent replay*, e.g. ``{"query": {"p50": ..., "p95": ...,
@@ -252,28 +262,47 @@ def run_load_test(
     target,
     workload: Sequence[Operation],
     *,
-    threads: int = 8,
+    threads: int | None = None,
+    processes: int | None = None,
     expected: Sequence[object] | None = None,
     check: bool = False,
     verify_counters: bool = True,
+    mid_run: Callable[[], object] | None = None,
 ) -> LoadTestResult:
-    """Replay ``workload`` from ``threads`` barrier-started threads and
-    compare every answer against a serial replay.
+    """Replay ``workload`` from released client lanes and compare every
+    answer against a serial replay.
 
-    ``target`` is a :class:`QueryService` or a :class:`ServingClient`.
+    ``target`` is a :class:`QueryService` or a :class:`ServingClient`.  The
+    lanes are either ``threads`` threads that share ``target`` (8 when
+    neither count is given), or ``processes`` spawned client processes,
+    each with its own :class:`ServingClient` built from ``target``'s
+    settings (``timeout``, ``retries``, ``endpoint_timeouts``, ``backoff``,
+    and ``seed`` offset by the lane number) against ``target.base_url`` —
+    a single client process is GIL-bound and cannot saturate the sharded
+    tier.  Lane ``k`` of ``L`` executes operations ``k, k + L, k + 2L,
+    ...``: a deterministic round-robin partition, so the same workload and
+    lane count replay identically (modulo scheduling, which must not
+    matter: that is the property under test).
+
     ``expected`` lets the caller reuse one serial replay across several
-    thread counts; otherwise it is computed here (serially, before any
-    thread starts).  With ``check=True`` a divergence raises
+    lane counts; otherwise it is computed here (serially, before any lane
+    starts).  With ``check=True`` a divergence raises
     :class:`LoadTestError` instead of only being recorded in the result.
     ``verify_counters`` snapshots the target's health counters around the
     concurrent replay and requires them to advance by exactly the
     workload's totals (turn it off when other traffic shares the target).
-
-    Thread ``t`` executes operations ``t, t + threads, t + 2*threads, ...``
-    — a deterministic round-robin partition, so the same workload and
-    thread count replay identically (modulo scheduling, which must not
-    matter: that is the property under test).
+    ``mid_run``, if given, is called in the caller's thread once every
+    lane is released — the hook crash drills use to kill a worker while
+    requests are in flight.
     """
+    if threads is not None and processes is not None:
+        raise ReproError("run_load_test takes threads or processes, not both")
+    kind = "threads" if processes is None else "processes"
+    lanes = processes if processes is not None else (8 if threads is None else threads)
+    if lanes < 1:
+        raise ReproError(f"run_load_test needs at least one client, got {kind}={lanes}")
+    if processes is not None and not isinstance(target, ServingClient):
+        raise ReproError("client processes need an HTTP target: pass a ServingClient")
     workload = list(workload)
     if expected is None:
         expected = [execute_operation(target, operation) for operation in workload]
@@ -281,42 +310,29 @@ def run_load_test(
     if len(expected) != len(workload):
         raise ReproError("expected results and workload differ in length")
 
-    results: list[object] = [None] * len(workload)
-    errors: list[str] = []
-    errors_lock = threading.Lock()
-    barrier = threading.Barrier(threads + 1)
-    # Per-thread latency samples (merged after the join — no shared-state
-    # contention while the clock is running).
-    samples: list[list[tuple[str, float]]] = [[] for _ in range(threads)]
-
-    def worker(offset: int) -> None:
-        mine = samples[offset]
-        barrier.wait()
-        for index in range(offset, len(workload), threads):
-            operation = workload[index]
-            began = time.perf_counter()
-            try:
-                results[index] = execute_operation(target, operation)
-            except Exception as error:  # noqa: BLE001 - recorded, re-raised below
-                with errors_lock:
-                    errors.append(f"op {index} ({operation.kind}): {error!r}")
-            else:
-                mine.append((operation.kind, time.perf_counter() - began))
-
-    pool = [
-        threading.Thread(target=worker, args=(offset,), name=f"loadtest-{offset}")
-        for offset in range(threads)
+    slices = [
+        [(index, workload[index]) for index in range(offset, len(workload), lanes)]
+        for offset in range(lanes)
     ]
+    run = _run_threads if processes is None else _run_processes
     before = _health(target) if verify_counters else None
-    for thread in pool:
-        thread.start()
-    barrier.wait()  # every worker released at once
-    started = time.perf_counter()
-    for thread in pool:
-        thread.join()
-    seconds = time.perf_counter() - started
+    reports, seconds = run(target, slices, mid_run)
     after = _health(target) if verify_counters else None
 
+    results: list[object] = [None] * len(workload)
+    errors: list[str] = []
+    # ungated histograms: the load test *is* the measurement, so it records
+    # regardless of the global telemetry switch.
+    histograms: dict[str, Histogram] = {}
+    for indices, outcomes, samples, lane_errors in reports:
+        for index, outcome in zip(indices, outcomes):
+            results[index] = outcome
+        errors.extend(lane_errors)
+        for operation_kind, latency in samples:
+            histogram = histograms.get(operation_kind)
+            if histogram is None:
+                histogram = histograms[operation_kind] = Histogram(gated=False)
+            histogram.observe(latency)
     mismatches = [
         index
         for index in range(len(workload))
@@ -328,20 +344,9 @@ def run_load_test(
         counters_consistent = all(
             after[key] - before[key] == deltas[key] for key in deltas
         )
-    # ungated histograms: the load test *is* the measurement, so it records
-    # regardless of the global telemetry switch.
-    histograms: dict[str, Histogram] = {}
-    for thread_samples in samples:
-        for kind, latency in thread_samples:
-            histogram = histograms.get(kind)
-            if histogram is None:
-                histogram = histograms[kind] = Histogram(gated=False)
-            histogram.observe(latency)
-    percentiles = {
-        kind: histogram.percentiles() for kind, histogram in histograms.items()
-    }
     result = LoadTestResult(
-        threads=threads,
+        threads=lanes if processes is None else 0,
+        processes=0 if processes is None else lanes,
         operations=len(workload),
         seconds=seconds,
         num_queries=deltas["queries"],
@@ -352,7 +357,9 @@ def run_load_test(
         mismatches=mismatches,
         errors=errors,
         counters_consistent=counters_consistent,
-        percentiles=percentiles,
+        percentiles={
+            name: histogram.percentiles() for name, histogram in histograms.items()
+        },
     )
     if check and not (result.bit_identical and result.counters_consistent):
         detail = "; ".join(errors[:3]) or (
@@ -361,7 +368,7 @@ def run_load_test(
             else "health counters drifted from the workload totals"
         )
         raise LoadTestError(
-            f"concurrent replay with {threads} threads diverged from the "
+            f"concurrent replay from {lanes} {kind} diverged from the "
             f"serial replay ({len(mismatches)} mismatches, "
             f"{len(errors)} errors): {detail}"
         )
@@ -369,21 +376,13 @@ def run_load_test(
 
 
 # ----------------------------------------------------------------------
-# Multi-process clients
+# Lanes
 # ----------------------------------------------------------------------
-def _client_process_main(base_url: str, tasks, go, conn) -> None:
-    """One spawned client process: replay its slice against ``base_url``.
-
-    ``tasks`` is a list of ``(index, Operation)`` pairs; results travel back
-    over ``conn`` as ``(indices, results, samples, errors)``.  The process
-    signals readiness, then blocks on the shared ``go`` event so every
-    client starts hammering at once (the cross-process analogue of the
-    thread barrier above).
-    """
-    from repro.serving.client import ServingClient
-
-    client = ServingClient(base_url)
-    conn.send("ready")
+def _replay(client, tasks, go) -> tuple[list[int], list, list, list[str]]:
+    """One lane: wait for ``go``, then run ``tasks`` (``(index, Operation)``
+    pairs) against ``client``.  Returns ``(indices, results, samples,
+    errors)``; latency samples are kept per lane (merged after the run, so
+    no shared state is contended while the clock is running)."""
     go.wait()
     indices: list[int] = []
     results: list[object] = []
@@ -399,143 +398,102 @@ def _client_process_main(base_url: str, tasks, go, conn) -> None:
             indices.append(index)
             results.append(outcome)
             samples.append((operation.kind, time.perf_counter() - began))
-    conn.send((indices, results, samples, errors))
+    return indices, results, samples, errors
+
+
+def _run_threads(target, slices, mid_run):
+    """Run one thread per slice, all sharing ``target``."""
+    go = threading.Event()
+    reports: list[tuple] = [()] * len(slices)
+
+    def lane(offset: int) -> None:
+        reports[offset] = _replay(target, slices[offset], go)
+
+    pool = [
+        threading.Thread(target=lane, args=(offset,), name=f"loadtest-{offset}")
+        for offset in range(len(slices))
+    ]
+    for thread in pool:
+        thread.start()
+    go.set()  # every lane released at once
+    started = time.perf_counter()
+    try:
+        if mid_run is not None:
+            mid_run()
+    finally:
+        for thread in pool:
+            thread.join()
+    return reports, time.perf_counter() - started
+
+
+def _process_lane(settings: dict, tasks, go, conn) -> None:
+    """A spawned client process: report ready, block on the shared ``go``
+    event (the cross-process analogue of a barrier), replay, report."""
+    with ServingClient(**settings) as client:
+        conn.send("ready")
+        conn.send(_replay(client, tasks, go))
     conn.close()
 
 
-def run_load_test_processes(
-    base_url: str,
-    workload: Sequence[Operation],
-    *,
-    processes: int = 2,
-    expected: Sequence[object] | None = None,
-    check: bool = False,
-    verify_counters: bool = True,
-    spawn_timeout: float = 120.0,
-    run_timeout: float = 600.0,
-) -> LoadTestResult:
-    """Replay ``workload`` from ``processes`` spawned *client processes*.
+def _receive(offset: int, process, conn, timeout: float, what: str):
+    if not conn.poll(timeout):
+        raise LoadTestError(
+            f"client process {offset} sent no {what} within {timeout:.0f}s"
+        )
+    try:
+        return conn.recv()
+    except EOFError:
+        process.join(timeout=5.0)
+        raise LoadTestError(
+            f"client process {offset} died before sending its {what} "
+            f"(exit code {process.exitcode})"
+        ) from None
 
-    The multi-process twin of :func:`run_load_test` for HTTP targets: a
-    single client process is itself GIL-bound, so it cannot saturate the
-    sharded serving tier — here each client is a real OS process with its
-    own interpreter, released simultaneously by a shared event.  Process
-    ``p`` executes operations ``p, p + P, p + 2*P, ...`` (the same
-    deterministic round-robin rule as the threaded harness), every answer
-    is compared against a serial replay, and the target's ``/healthz``
-    counters must advance by exactly the workload totals — seeded
-    determinism and the exactness checks survive the extra process layer.
-    """
-    from repro.serving.client import ServingClient
 
-    if processes < 1:
-        raise ReproError("run_load_test_processes needs at least one process")
-    workload = list(workload)
-    client = ServingClient(base_url)
-    if expected is None:
-        expected = [execute_operation(client, operation) for operation in workload]
-    expected = list(expected)
-    if len(expected) != len(workload):
-        raise ReproError("expected results and workload differ in length")
-
+def _run_processes(target: ServingClient, slices, mid_run):
+    """Run one spawned client process per slice against ``target.base_url``."""
     go = _SPAWN.Event()
     members = []
+    finished = False
     try:
-        for offset in range(processes):
-            tasks = [
-                (index, workload[index])
-                for index in range(offset, len(workload), processes)
-            ]
+        for offset, tasks in enumerate(slices):
+            settings = {
+                "base_url": target.base_url,
+                "timeout": target.timeout,
+                "retries": target.retries,
+                "backoff": target.backoff,
+                "seed": target.seed + offset,
+                "endpoint_timeouts": target.endpoint_timeouts,
+            }
             parent_conn, child_conn = _SPAWN.Pipe(duplex=False)
             process = _SPAWN.Process(
-                target=_client_process_main,
-                args=(base_url, tasks, go, child_conn),
+                target=_process_lane,
+                args=(settings, tasks, go, child_conn),
                 name=f"loadtest-client-{offset}",
                 daemon=True,
             )
             process.start()
             child_conn.close()
             members.append((process, parent_conn))
-        for offset, (process, parent_conn) in enumerate(members):
-            if not parent_conn.poll(spawn_timeout):
-                raise LoadTestError(
-                    f"client process {offset} not ready within {spawn_timeout:.0f}s"
-                )
-            parent_conn.recv()  # "ready"
-
-        before = _health(client) if verify_counters else None
+        for offset, (process, conn) in enumerate(members):
+            _receive(offset, process, conn, SPAWN_TIMEOUT, "ready signal")
         go.set()
         started = time.perf_counter()
-        results: list[object] = [None] * len(workload)
-        errors: list[str] = []
-        samples: list[tuple[str, float]] = []
-        for offset, (process, parent_conn) in enumerate(members):
-            if not parent_conn.poll(run_timeout):
-                raise LoadTestError(
-                    f"client process {offset} produced no results within "
-                    f"{run_timeout:.0f}s"
-                )
-            indices, outcomes, member_samples, member_errors = parent_conn.recv()
-            for index, outcome in zip(indices, outcomes):
-                results[index] = outcome
-            samples.extend(member_samples)
-            errors.extend(member_errors)
+        if mid_run is not None:
+            mid_run()
+        reports = [
+            _receive(offset, process, conn, RUN_TIMEOUT, "results")
+            for offset, (process, conn) in enumerate(members)
+        ]
         seconds = time.perf_counter() - started
-        after = _health(client) if verify_counters else None
+        finished = True
     finally:
-        for process, parent_conn in members:
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - hung client
+        # After a failure nothing waits for the other clients' results.
+        for process, conn in members:
+            if finished:
+                process.join(timeout=10.0)
+            if process.is_alive():
                 process.terminate()
-                process.join(2.0)
-            try:
-                parent_conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    mismatches = [
-        index
-        for index in range(len(workload))
-        if workload[index].kind != "healthz" and results[index] != expected[index]
-    ]
-    deltas = expected_counter_deltas(workload)
-    counters_consistent = True
-    if verify_counters:
-        counters_consistent = all(
-            after[key] - before[key] == deltas[key] for key in deltas
-        )
-    histograms: dict[str, Histogram] = {}
-    for kind, latency in samples:
-        histogram = histograms.get(kind)
-        if histogram is None:
-            histogram = histograms[kind] = Histogram(gated=False)
-        histogram.observe(latency)
-    result = LoadTestResult(
-        threads=0,
-        operations=len(workload),
-        seconds=seconds,
-        num_queries=deltas["queries"],
-        num_batches=deltas["batches"],
-        num_batch_patterns=deltas["batch_patterns"],
-        num_mines=deltas["mines"],
-        num_healthz=sum(1 for op in workload if op.kind == "healthz"),
-        mismatches=mismatches,
-        errors=errors,
-        counters_consistent=counters_consistent,
-        percentiles={
-            kind: histogram.percentiles() for kind, histogram in histograms.items()
-        },
-        processes=processes,
-    )
-    if check and not (result.bit_identical and result.counters_consistent):
-        detail = "; ".join(errors[:3]) or (
-            f"ops {mismatches[:10]} diverged"
-            if mismatches
-            else "health counters drifted from the workload totals"
-        )
-        raise LoadTestError(
-            f"multi-process replay with {processes} clients diverged from "
-            f"the serial replay ({len(mismatches)} mismatches, "
-            f"{len(errors)} errors): {detail}"
-        )
-    return result
+                process.join(timeout=2.0)
+            conn.close()
+    return reports, seconds

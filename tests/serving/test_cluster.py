@@ -35,6 +35,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.construction import build_private_counting_structure
 from repro.core.params import ConstructionParams
 from repro.obs import validate_exposition
@@ -45,7 +46,7 @@ from repro.serving import (
     ServingClient,
     create_server,
     generate_workload,
-    run_load_test_processes,
+    run_load_test,
 )
 
 UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one pattern length
@@ -461,10 +462,24 @@ class TestProcessLoadtest:
         self, cluster, reference
     ):
         workload = generate_workload(reference, 60, seed=11)
-        result = run_load_test_processes(
-            cluster.url, workload, processes=2, check=True, verify_counters=True
-        )
+        with ServingClient(cluster.url) as target:
+            result = run_load_test(
+                target, workload, processes=2, check=True, verify_counters=True
+            )
         assert result.bit_identical
         assert result.counters_consistent
         assert result.processes == 2
         assert result.operations == 60
+
+    def test_bench_load_cli_drives_a_cluster_from_a_client_process(
+        self, store, tmp_path
+    ):
+        output = tmp_path / "rows.json"
+        argv = ["bench-load", "--store", str(store.root), "--workers", "2"]
+        argv += ["--processes", "1", "--threads", "1", "--ops", "60"]
+        argv += ["--json", str(output)]
+        assert main(argv) == 0
+        rows = json.loads(output.read_text())["results"]
+        assert [(row["threads"], row["processes"]) for row in rows] == [(1, 0), (0, 1)]
+        assert all(row["bit_identical"] for row in rows)
+        assert all(row["counters_consistent"] for row in rows)
