@@ -4,7 +4,9 @@ The acceptance contract of the multi-process serving tier
 (:mod:`repro.serving.cluster`): uniform q-gram ``/batch`` traffic routed
 through the relaying router must be **bit-identical** to the
 single-process server — both float-for-float in every client and
-byte-for-byte on a raw response body — at every worker count; second-and-
+byte-for-byte on a raw response body — at every worker count, and a raw
+binary ``Accept: application/x-dpsc-f64`` body must equal the kernel's
+little-endian float64 bytes; second-and-
 later workers must add ~0 private resident pages over the one mmap-shared
 ``.dpsb`` copy; a worker ``kill -9``'d mid-run must cost nothing (the
 router retries, the supervisor respawns, the clients still get complete
@@ -68,6 +70,8 @@ def _check_rows(rows, *, smoke):
             failures.append(f"{label}: client responses not bit-identical")
         if not row["response_bytes_identical"]:
             failures.append(f"{label}: raw response bytes differ from single-process")
+        if not row["f64_bytes_identical"]:
+            failures.append(f"{label}: raw f64 response bytes differ from the kernel's")
         if row["errors"]:
             failures.append(f"{label}: {row['errors']} client errors")
         if row["mode"] != "cluster":
@@ -160,6 +164,7 @@ def _main() -> int:
             f"{row['available_cpus']} cpus); "
             f"bit_identical={row['bit_identical']} "
             f"bytes_identical={row['response_bytes_identical']} "
+            f"f64_identical={row['f64_bytes_identical']} "
             f"extra_worker_private_kb={extra}{drill}"
         )
     if failures:

@@ -2043,9 +2043,11 @@ def run_serving_scale(
     assumed:
 
     * **bit identity** — the driver compares every response
-      float-for-float against the serial in-process answers, and one raw
+      float-for-float against the serial in-process answers, one raw JSON
       response body from the router is compared byte-for-byte against the
-      single-process server's for the identical request;
+      single-process server's for the identical request, and one raw
+      binary (``Accept: application/x-dpsc-f64``) body from each server
+      against the kernel's little-endian float64 bytes;
     * **memory sharing** — each worker's *private* resident kilobytes of
       the mapped ``.dpsb`` payload, read from ``/proc/<pid>/smaps`` after
       the run: second-and-later workers should add ~0 private pages over
@@ -2073,6 +2075,7 @@ def run_serving_scale(
 
     from repro.serving import (
         Cluster,
+        F64_MEDIA_TYPE,
         Operation,
         QueryService,
         ReleaseStore,
@@ -2088,7 +2091,9 @@ def run_serving_scale(
         "".join(chars[pattern_rng.integers(len(chars))] for _ in range(4))
         for _ in range(batch_size)
     ]
-    expected = [float(count) for count in compiled.batch_query(patterns)]
+    counts = compiled.batch_query(patterns)
+    expected = counts.tolist()
+    expected_f64 = counts.astype("<f8").tobytes()
     body = json.dumps({"patterns": patterns}).encode("utf-8")
     operation = Operation(kind="batch", patterns=tuple(patterns))
 
@@ -2121,15 +2126,16 @@ def run_serving_scale(
         threading.Thread(target=server.serve_forever, daemon=True).start()
         single_url = f"http://127.0.0.1:{server.server_address[1]}"
 
-        def raw_batch(url: str) -> bytes:
+        def raw_batch(url: str, accept: str | None = None) -> bytes:
             parsed = urlparse(url)
             connection = http.client.HTTPConnection(
                 parsed.hostname, parsed.port, timeout=300
             )
+            headers = {"Content-Type": "application/json"}
+            if accept is not None:
+                headers["Accept"] = accept
             try:
-                connection.request(
-                    "POST", "/batch", body, {"Content-Type": "application/json"}
-                )
+                connection.request("POST", "/batch", body, headers)
                 response = connection.getresponse()
                 payload = response.read()
                 if response.status != 200:
@@ -2139,6 +2145,7 @@ def run_serving_scale(
                 connection.close()
 
         single_reference = raw_batch(single_url)
+        single_f64_identical = raw_batch(single_url, F64_MEDIA_TYPE) == expected_f64
         outcome = drive(single_url, rounds)
         server.shutdown()
         server.server_close()
@@ -2161,6 +2168,7 @@ def run_serving_scale(
                 "speedup_vs_single": 1.0,
                 "bit_identical": outcome.bit_identical,
                 "response_bytes_identical": True,
+                "f64_bytes_identical": single_f64_identical,
                 "errors": len(outcome.errors),
                 "available_cpus": available_cpus,
             }
@@ -2173,6 +2181,7 @@ def run_serving_scale(
         for workers in worker_counts:
             with Cluster(store, workers=workers) as cluster:
                 bytes_identical = raw_batch(cluster.url) == single_reference
+                f64_identical = raw_batch(cluster.url, F64_MEDIA_TYPE) == expected_f64
                 outcome = drive(cluster.url, rounds)
                 worker_private_kb = None
                 if measure_rss:
@@ -2223,6 +2232,7 @@ def run_serving_scale(
                 ),
                 "bit_identical": outcome.bit_identical,
                 "response_bytes_identical": bool(bytes_identical),
+                "f64_bytes_identical": f64_identical,
                 "errors": len(outcome.errors),
                 "available_cpus": available_cpus,
             }

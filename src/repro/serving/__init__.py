@@ -31,7 +31,10 @@ PrivateCountingTrie` to serving millions of pattern queries:
     A stdlib ``ThreadingHTTPServer`` JSON API (``/query``, ``/batch``,
     ``/mine``, ``/releases``, ``/healthz``) with request micro-batching and
     per-release routing — one front-end for the single process and the
-    tier — plus a client that one can share across threads: its calls
+    tier; ``/batch`` also answers raw little-endian float64 counts
+    (:data:`F64_MEDIA_TYPE`) to a client whose ``Accept`` asks for them
+    (:func:`accepts_f64`) — plus a client that asks for them, and that
+    one can share across threads: its calls
     ride keep-alive connections, a reused connection the server closed
     while idle is reopened once without counting a retry, and ``close()``
     releases the idle ones.
@@ -97,10 +100,12 @@ from repro.serving.server import (
     QueryService,
     ServingHTTPError,
     create_server,
+    accepts_f64,
     install_graceful_shutdown,
     serve_forever,
 )
 from repro.serving.store import ReleaseRecord, ReleaseStore
+from repro.serving.transport import F64_MEDIA_TYPE
 
 __all__ = [
     "Cluster",
@@ -112,6 +117,7 @@ __all__ = [
     "ServingClientError",
     "DEFAULT_ENDPOINT_TIMEOUTS",
     "DEADLINE_HEADER",
+    "F64_MEDIA_TYPE",
     "AdmissionGate",
     "BackoffPolicy",
     "CircuitBreaker",
@@ -128,6 +134,7 @@ __all__ = [
     "MicroBatcher",
     "QueryService",
     "ServingHTTPError",
+    "accepts_f64",
     "create_server",
     "install_graceful_shutdown",
     "serve_forever",

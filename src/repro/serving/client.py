@@ -2,13 +2,16 @@
 
 Analysts talk to a running server (``dpsc serve``) through this class or
 plain ``curl``; the wire format is the JSON API documented in
-:mod:`repro.serving.server`.  Requests travel over keep-alive HTTP/1.1
-connections from the stdlib-only :class:`~repro.serving.transport.
-ConnectionPool`, so a client pays one TCP connect per concurrent caller,
-not one per call.  One client is safe to share across threads (each call
-checks out its own connection); :meth:`ServingClient.close` — or leaving a
-``with ServingClient(...)`` block — closes the idle connections, and a
-garbage-collected client closes them too.  Proxy environment variables
+:mod:`repro.serving.server`, except that :meth:`ServingClient.batch` asks
+for binary ``application/x-dpsc-f64`` counts (and still reads the JSON
+reply of a server that does not offer them).  Requests travel over
+keep-alive HTTP/1.1 connections from the stdlib-only
+:class:`~repro.serving.transport.ConnectionPool`, so a client pays one
+TCP connect per concurrent caller, not one per call.  One client is safe
+to share across threads (each call checks out its own connection);
+:meth:`ServingClient.close` — or leaving a ``with ServingClient(...)``
+block — closes the idle connections, and a garbage-collected client
+closes them too.  Proxy environment variables
 (``HTTP_PROXY`` and friends) are not consulted.
 
 Resilience (docs/RESILIENCE.md):
@@ -41,15 +44,17 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import sys
 import time
 import urllib.parse
 import weakref
+from array import array
 from typing import Mapping, Sequence
 
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry
 from repro.serving.resilience import DEADLINE_HEADER, BackoffPolicy, Deadline
-from repro.serving.transport import ConnectionPool
+from repro.serving.transport import F64_MEDIA_TYPE, ConnectionPool, Response
 
 __all__ = [
     "ServingClient",
@@ -79,6 +84,9 @@ _DEFAULT_PORTS = {"http": 80, "https": 443}
 #: (502/503/504 from the router) or an injected/unexpected server error on
 #: an idempotent read.  4xx means the request itself is wrong — never retry.
 _RETRYABLE_STATUSES = range(500, 600)
+
+#: what :meth:`ServingClient.batch` accepts: binary counts, else JSON.
+_BATCH_ACCEPT = f"{F64_MEDIA_TYPE}, application/json;q=0.5"
 
 
 def _parse_retry_after(value: str | None) -> float | None:
@@ -211,17 +219,16 @@ class ServingClient:
         payload: dict | None = None,
         *,
         timeout: float | None = None,
-        decode: str = "json",
-    ):
+        accept: str = "application/json",
+    ) -> Response:
+        """One API call's successful response, after retries; raises
+        :class:`ServingClientError` on anything else."""
         endpoint = path.split("?", 1)[0]
         budget = timeout if timeout is not None else self.timeout_for(endpoint)
         deadline = Deadline.after(budget)
         url = f"{self.base_url}{path}"
         method, data = "GET", None
-        headers = {
-            "Accept": "application/json" if decode == "json" else "text/plain",
-            DEADLINE_HEADER: deadline.header_value(),
-        }
+        headers = {"Accept": accept, DEADLINE_HEADER: deadline.header_value()}
         if payload is not None:
             method, data = "POST", json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -261,9 +268,7 @@ class ServingClient:
                 last_failure = f"cannot reach {url}: {error}"
             else:
                 if 200 <= response.status < 300:
-                    if decode == "json":
-                        return json.loads(response.body.decode("utf-8"))
-                    return response.body.decode("utf-8")
+                    return response
                 try:
                     parsed = json.loads(response.body.decode("utf-8"))
                     last_payload = parsed if isinstance(parsed, dict) else None
@@ -296,6 +301,10 @@ class ServingClient:
             delay = next(delays) if retry_after is None else retry_after
             time.sleep(max(0.0, min(delay, deadline.remaining())))
 
+    def _json(self, path: str, payload: dict | None = None, *, timeout: float | None = None):
+        body = self._request(path, payload, timeout=timeout).body
+        return json.loads(body.decode("utf-8"))
+
     # ------------------------------------------------------------------
     # API
     # ------------------------------------------------------------------
@@ -306,7 +315,7 @@ class ServingClient:
         payload: dict = {"pattern": pattern}
         if release is not None:
             payload["release"] = release
-        return float(self._request("/query", payload, timeout=timeout)["count"])
+        return float(self._json("/query", payload, timeout=timeout)["count"])
 
     def batch(
         self,
@@ -315,14 +324,30 @@ class ServingClient:
         *,
         timeout: float | None = None,
     ) -> list[float]:
-        """Noisy counts of many patterns in one round trip."""
+        """Noisy counts of many patterns in one round trip.
+
+        The server is asked for binary float64 counts; a JSON reply (from a
+        server that does not offer them) is read as well.
+        """
         payload: dict = {"patterns": list(patterns)}
         if release is not None:
             payload["release"] = release
-        return [
-            float(c)
-            for c in self._request("/batch", payload, timeout=timeout)["counts"]
-        ]
+        response = self._request("/batch", payload, timeout=timeout, accept=_BATCH_ACCEPT)
+        content_type = response.headers.get("Content-Type", "")
+        if content_type.split(";", 1)[0].strip().lower() != F64_MEDIA_TYPE:
+            return [float(c) for c in json.loads(response.body.decode("utf-8"))["counts"]]
+        expected = len(payload["patterns"])
+        if len(response.body) != 8 * expected:
+            raise ServingClientError(
+                f"/batch answered {expected} patterns with "
+                f"{len(response.body)} bytes of {F64_MEDIA_TYPE}",
+                response.status,
+                endpoint="/batch",
+            )
+        counts = array("d", response.body)
+        if sys.byteorder == "big":
+            counts.byteswap()  # the wire is little-endian
+        return counts.tolist()
 
     def mine(
         self,
@@ -344,23 +369,21 @@ class ServingClient:
             payload["exact_length"] = exact_length
         return [
             (pattern, float(count))
-            for pattern, count in self._request("/mine", payload, timeout=timeout)[
-                "patterns"
-            ]
+            for pattern, count in self._json("/mine", payload, timeout=timeout)["patterns"]
         ]
 
     def releases(self) -> list[dict]:
         """Metadata of every served release."""
-        return self._request("/releases")["releases"]
+        return self._json("/releases")["releases"]
 
     def healthz(self) -> dict:
         """Liveness and serving statistics."""
-        return self._request("/healthz")
+        return self._json("/healthz")
 
     def metrics(self) -> str:
         """The server's metrics in Prometheus text exposition format."""
-        return self._request("/metrics", decode="text")
+        return self._request("/metrics", accept="text/plain").body.decode("utf-8")
 
     def metrics_snapshot(self) -> dict:
         """The server's raw metrics registry snapshot (``/metrics?format=json``)."""
-        return self._request("/metrics?format=json")
+        return self._json("/metrics?format=json")

@@ -9,12 +9,16 @@ single-process server.  A validated request then takes one of two paths:
 * **relay** — ``/batch``, ``/mine``, ``/releases`` and (with micro-batching
   off) ``/query`` are forwarded as the original method, path and raw
   bytes to one worker, chosen round-robin, and the worker's response bytes
-  are relayed verbatim.  Workers run the same handler over a
+  and ``Content-Type`` are relayed verbatim.  A ``/batch`` whose client
+  accepts binary counts (:func:`~repro.serving.server.accepts_f64`) asks
+  the worker for them too, so its raw float64 body is relayed undecoded.
+  Workers run the same handler over a
   :class:`~repro.serving.server.QueryService`, so relayed replies are
   byte-identical to the single-process server by construction.
 * **micro-batch** — concurrent single ``/query`` requests coalesce in the
   shared :class:`~repro.serving.server.MicroBatcher` and ride one worker
-  ``/batch`` call instead of N worker round-trips.
+  ``/batch`` call instead of N worker round-trips; that call asks for
+  binary counts, so no JSON is encoded or parsed on the way.
 
 The tier's parallelism is across concurrent requests: each worker answers
 whole requests, and no request is split across workers.
@@ -44,6 +48,8 @@ import json
 import threading
 import time
 
+import numpy as np
+
 from repro import faults
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry, merge_snapshots
@@ -55,7 +61,7 @@ from repro.serving.resilience import (
     Deadline,
 )
 from repro.serving.server import MicroBatcher, ServingHTTPError
-from repro.serving.transport import ConnectionPool
+from repro.serving.transport import F64_MEDIA_TYPE, ConnectionPool
 
 __all__ = ["Router"]
 
@@ -236,8 +242,9 @@ class Router:
         *,
         timeout: float | None = None,
         headers: dict[str, str] | None = None,
-    ) -> tuple[int, bytes]:
-        """One HTTP round-trip to one worker; raises on connection failure.
+    ) -> tuple[int, bytes, str]:
+        """One HTTP round-trip to one worker: its status, body and content
+        type.  Raises on connection failure.
 
         The connection comes from the router's shared keep-alive pool
         (workers speak HTTP/1.1).  A failed reused connection is *not*
@@ -260,7 +267,8 @@ class Router:
             send_headers,
             timeout=timeout or self.worker_timeout,
         )
-        return response.status, response.body
+        content_type = response.headers.get("Content-Type", "application/json")
+        return response.status, response.body, content_type
 
     def retire(self, workers: list[WorkerHandle]) -> None:
         """Close the idle connections to workers that left the table."""
@@ -320,7 +328,8 @@ class Router:
         body: bytes | None = None,
         *,
         deadline: Deadline | None = None,
-    ) -> tuple[int, bytes]:
+        accept: str | None = None,
+    ) -> tuple[int, bytes, str]:
         """Forward to some admitted live worker, retrying on failure.
 
         Safe because every endpoint is an idempotent read: re-executing a
@@ -334,12 +343,15 @@ class Router:
         which is exactly the crash-respawn window — the supervisor races
         this deadline.  An expired request ``deadline`` stops the loop
         early with 504: nobody is waiting for the answer any more; a live
-        ``deadline`` also travels to the worker as its ``X-DPSC-Deadline``.
+        ``deadline`` also travels to the worker as its ``X-DPSC-Deadline``,
+        and ``accept`` as its ``Accept``.
         """
         retry_deadline = time.monotonic() + self.retry_timeout
         tried: set[int] = set()
-        last_error: tuple[int, bytes] | None = None
-        headers = None if deadline is None else {DEADLINE_HEADER: deadline.header_value()}
+        last_error: tuple[int, bytes, str] | None = None
+        headers = {} if deadline is None else {DEADLINE_HEADER: deadline.header_value()}
+        if accept is not None:
+            headers["Accept"] = accept
         while True:
             if deadline is not None and deadline.expired():
                 self._deadline_exceeded.inc()
@@ -366,7 +378,7 @@ class Router:
                 time.sleep(self.retry_wait)
                 continue
             try:
-                status, data = self.forward(
+                status, data, content_type = self.forward(
                     worker, method, path, body, headers=headers
                 )
             except _RELAY_RETRYABLE:
@@ -388,7 +400,7 @@ class Router:
                 # idempotent read — count it against the breaker and retry
                 # elsewhere; keep the freshest body in case retries run out.
                 breaker.record_failure()
-                last_error = (status, data)
+                last_error = (status, data, content_type)
                 tried.add(worker.port)
                 self._retries.inc()
                 if time.monotonic() >= retry_deadline:
@@ -396,22 +408,27 @@ class Router:
                 time.sleep(self.retry_wait)
                 continue
             breaker.record_success()
-            return status, data
+            return status, data, content_type
 
     # ------------------------------------------------------------------
     # The HTTP backend (see repro.serving.server.create_server)
     # ------------------------------------------------------------------
-    def _flush(self, release: str | None, patterns: list[str]) -> list[float]:
-        """One micro-batch group's counts: a single worker ``/batch``."""
+    def _flush(self, release: str | None, patterns: list[str]) -> np.ndarray:
+        """One micro-batch group's counts: a single binary worker ``/batch``."""
         payload: dict = {"patterns": patterns}
         if release is not None:
             payload["release"] = release
-        status, body = self.forward_any(
-            "POST", "/batch", json.dumps(payload).encode("utf-8")
+        status, body, content_type = self.forward_any(
+            "POST", "/batch", json.dumps(payload).encode("utf-8"), accept=F64_MEDIA_TYPE
         )
         if status != 200:
             raise ServingHTTPError(status, _error_message(body, status))
-        return json.loads(body.decode("utf-8"))["counts"]
+        if content_type != F64_MEDIA_TYPE or len(body) != 8 * len(patterns):
+            raise ServingHTTPError(
+                502, f"worker answered {len(patterns)} patterns with {len(body)} "
+                f"bytes of {content_type}"
+            )
+        return np.frombuffer(body, dtype="<f8")
 
     def note_deadline_exceeded(self) -> None:
         self._deadline_exceeded.inc()
@@ -422,7 +439,7 @@ class Router:
         args: dict,
         request: tuple[str, str, bytes],
         deadline: Deadline | None = None,
-    ) -> tuple[int, bytes]:
+    ) -> tuple[int, bytes, str]:
         """Answer one validated request: micro-batch a ``/query``, relay
         anything else as its original bytes to one worker, or reload."""
         method, path, raw = request
@@ -430,7 +447,7 @@ class Router:
             if self.reload_fn is None:
                 raise ServingHTTPError(503, "reload is not available")
             try:
-                return 200, json.dumps(self.reload_fn()).encode("utf-8")
+                return 200, json.dumps(self.reload_fn()).encode("utf-8"), "application/json"
             except ReproError as error:  # the old generation keeps serving
                 raise ServingHTTPError(500, f"reload failed: {error}") from error
         if endpoint == "releases":
@@ -447,8 +464,11 @@ class Router:
                     count = self._batcher.submit(args["pattern"], args["release"])
                     release = args["release"] or self.default_release
                     payload = {"pattern": args["pattern"], "release": release, "count": count}
-                    return 200, json.dumps(payload).encode("utf-8")
-                return self.forward_any(method, path, raw or None, deadline=deadline)
+                    return 200, json.dumps(payload).encode("utf-8"), "application/json"
+                accept = F64_MEDIA_TYPE if args.get("f64") else None
+                return self.forward_any(
+                    method, path, raw or None, deadline=deadline, accept=accept
+                )
 
     def health(self) -> dict:
         self._requests["healthz"].inc()
@@ -500,7 +520,7 @@ class Router:
         sources = [("router", self.metrics.snapshot())]
         for worker in self.table.live():
             try:
-                status, body = self.forward(
+                status, body, _ = self.forward(
                     worker, "GET", "/metrics?format=json", timeout=self.scrape_timeout
                 )
                 if status != 200:

@@ -11,6 +11,8 @@ stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
 * ``GET  /releases``         the served releases and their public metadata
 * ``POST /query``            ``{"pattern": ..., "release": ...}`` -> count
 * ``POST /batch``            ``{"patterns": [...]}`` -> vectorized counts
+  (JSON, or raw little-endian float64 with
+  ``Accept: application/x-dpsc-f64`` — see :func:`accepts_f64`)
 * ``POST /mine``             ``{"threshold": ..., ...}`` -> frequent patterns
 
 One handler serves both topologies.  It owns body reading, validation,
@@ -41,12 +43,15 @@ Two serving tricks carry the throughput story (benchmarked in
 from __future__ import annotations
 
 import json
+import re
 import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from urllib.parse import parse_qs, urlparse
+
+import numpy as np
 
 from repro import faults
 from repro.core.private_trie import PrivateCountingTrie
@@ -55,6 +60,7 @@ from repro.obs import MetricsRegistry, log_buckets, render_snapshot
 from repro.serving.compiled import CompiledTrie
 from repro.serving.resilience import DEADLINE_HEADER, Deadline
 from repro.serving.store import ReleaseStore
+from repro.serving.transport import F64_MEDIA_TYPE
 
 if TYPE_CHECKING:
     from repro.serving.cluster.router import Router
@@ -66,6 +72,7 @@ __all__ = [
     "create_server",
     "serve_forever",
     "install_graceful_shutdown",
+    "accepts_f64",
 ]
 
 #: endpoints that carry request counters and latency histograms.
@@ -342,10 +349,15 @@ class QueryService:
 
     def batch(self, patterns: Sequence[str], release: str | None = None) -> list[float]:
         """Vectorized noisy counts for many patterns at once."""
+        return self.batch_array(patterns, release).tolist()
+
+    def batch_array(self, patterns: Sequence[str], release: str | None = None) -> np.ndarray:
+        """:meth:`batch` as the kernel's float64 array (the binary reply
+        packs it without building a Python float per count)."""
         self._requests["batch"].inc()
         self._batch_patterns.inc(len(patterns))
         with self._latency["batch"].time():
-            return [float(c) for c in self.release(release).batch_query(patterns)]
+            return self.release(release).batch_query(patterns)
 
     def mine(
         self,
@@ -451,11 +463,11 @@ class QueryService:
         args: dict,
         request: tuple[str, str, bytes],
         deadline: Deadline | None = None,
-    ) -> tuple[int, bytes]:
-        """The HTTP backend entry: one validated request's status and JSON
-        body.  ``request`` (method, path, body) and ``deadline`` matter only
-        to a backend that relays; the handler already refused an expired
-        deadline."""
+    ) -> tuple[int, bytes, str]:
+        """The HTTP backend entry: one validated request's status, body and
+        content type.  ``request`` (method, path, body) and ``deadline``
+        matter only to a backend that relays; the handler already refused
+        an expired deadline."""
         if endpoint == "releases":
             return _ok({"releases": self.releases_info()})
         if endpoint == "reload":
@@ -467,7 +479,10 @@ class QueryService:
             count = self.query(args["pattern"], release)
             return _ok({"pattern": args["pattern"], "release": name, "count": count})
         if endpoint == "batch":
-            return _ok({"release": name, "counts": self.batch(args["patterns"], release)})
+            counts = self.batch_array(args["patterns"], release)
+            if args["f64"]:
+                return 200, np.asarray(counts, dtype="<f8").tobytes(), F64_MEDIA_TYPE
+            return _ok({"release": name, "counts": counts.tolist()})
         patterns = self.mine(
             args["threshold"],
             release,
@@ -525,8 +540,65 @@ class QueryService:
         return cls(releases, **kwargs)
 
 
-def _ok(payload: dict) -> tuple[int, bytes]:
-    return 200, json.dumps(payload).encode("utf-8")
+def _ok(payload: dict) -> tuple[int, bytes, str]:
+    return 200, json.dumps(payload).encode("utf-8"), "application/json"
+
+
+#: longest ``Accept`` value that is parsed; a longer one counts as absent.
+_MAX_ACCEPT = 1024
+
+#: RFC 9110 ``Accept`` grammar: comma-separated (possibly empty) elements,
+#: each a ``type/subtype`` media range with ``;name=value`` parameters.
+_OWS = r"[ \t]*"
+_TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
+_PARAMETER = rf'{_OWS};{_OWS}({_TOKEN})=({_TOKEN}|"(?:[^"\\]|\\.)*")'
+_ACCEPT_ELEMENT = re.compile(
+    rf"{_OWS}(?:({_TOKEN})/({_TOKEN})((?:{_PARAMETER})*))?{_OWS}(?:,|\Z)"
+)
+_ACCEPT_PARAMETER = re.compile(_PARAMETER)
+_QVALUE = re.compile(r"0(?:\.[0-9]{0,3})?|1(?:\.0{0,3})?")
+
+
+def accepts_f64(accept: str | None) -> bool:
+    """Whether an ``Accept`` header asks for raw float64 ``/batch`` counts.
+
+    Media ranges are matched case-insensitively with their parameters
+    allowed, as RFC 9110 specifies; ``q=0`` refuses a type.  Binary counts
+    are an explicit opt-in: only a range naming ``application/x-dpsc-f64``
+    itself selects them (``*/*`` keeps JSON), and only when its weight is
+    above zero and at least that of JSON (``application/json``, else
+    ``application/*``, else ``*/*``).  A value that does not parse, or is
+    longer than :data:`_MAX_ACCEPT`, counts as absent: JSON.
+    """
+    if not accept or len(accept) > _MAX_ACCEPT:
+        return False
+    weights: dict[str, float] = {}
+    position = 0
+    while position < len(accept):
+        element = _ACCEPT_ELEMENT.match(accept, position)
+        if element is None:
+            return False
+        position = element.end()
+        kind, subtype, parameters = element.group(1, 2, 3)
+        if kind is None:
+            continue  # an empty list element
+        weight = 1.0
+        for name, value in _ACCEPT_PARAMETER.findall(parameters):
+            if name.lower() == "q":
+                if not _QVALUE.fullmatch(value):
+                    return False
+                weight = float(value)
+        weights.setdefault(f"{kind}/{subtype}".lower(), weight)
+    f64 = weights.get(F64_MEDIA_TYPE, 0.0)
+    json_weight = next(
+        (
+            weights[media_range]
+            for media_range in ("application/json", "application/*", "*/*")
+            if media_range in weights
+        ),
+        0.0,
+    )
+    return f64 > 0 and f64 >= json_weight
 
 
 def _is_int(value: object) -> bool:
@@ -715,6 +787,8 @@ class _Handler(BaseHTTPRequestHandler):
             except (ValueError, UnicodeDecodeError):
                 raise ServingHTTPError(400, "request body is not valid JSON") from None
             args = _post_args(endpoint, payload)
+            if endpoint == "batch":
+                args["f64"] = accepts_f64(", ".join(self.headers.get_all("Accept", ())))
         if endpoint is None:
             raise ServingHTTPError(404, f"unknown path {path!r}")
         deadline = self._deadline()

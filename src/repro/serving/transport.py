@@ -23,7 +23,11 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-__all__ = ["ConnectionPool", "Response"]
+__all__ = ["ConnectionPool", "Response", "F64_MEDIA_TYPE"]
+
+#: the media type of a binary ``/batch`` reply: the counts as raw
+#: little-endian float64, in request order (docs/SERVING.md, "Wire format").
+F64_MEDIA_TYPE = "application/x-dpsc-f64"
 
 #: ``(scheme, host, port)`` — the key connections are pooled under.
 Origin = tuple[str, str, int]

@@ -8,6 +8,9 @@ acceptance contract:
 * every endpoint answers **bit-identically** to the single-process server,
   and every malformed request gets the same status and error body from
   both, because both run the one HTTP front-end;
+* a binary ``/batch`` (``Accept: application/x-dpsc-f64``) is the kernel's
+  little-endian float64 bytes on both, and any ``Accept`` value gets the
+  same status, ``Content-Type`` and body from both;
 * the router's ``/healthz`` counters advance by exactly the traffic sent,
   and its merged ``/metrics`` passes the exposition validator with gauges
   per-worker-labelled (never summed);
@@ -34,6 +37,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.construction import build_private_counting_structure
@@ -49,6 +54,7 @@ from repro.serving import (
     run_load_test,
 )
 
+F64 = "application/x-dpsc-f64"
 UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one pattern length
 MIXED = ["ab", "aba", "b", "abab", "", "zz"]  # mixed lengths
 
@@ -181,6 +187,16 @@ class TestParity:
         assert 400 <= status < 600 and isinstance(json.loads(body)["error"], str)
         assert _exchange(cluster.url, BAD_REQUESTS[case])[:2] == (status, body)
 
+    @pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+    def test_error_parity_with_f64_accept(self, cluster, single_url, case):
+        request = _with_header(BAD_REQUESTS[case], f"Accept: {F64}")
+        status, body, response = _exchange(single_url, request)
+        assert response.getheader("Content-Type") == "application/json"
+        assert 400 <= status < 600 and isinstance(json.loads(body)["error"], str)
+        assert _exchange(cluster.url, request)[:2] == (status, body)
+        # the same refusal as without the header
+        assert _exchange(single_url, BAD_REQUESTS[case])[:2] == (status, body)
+
     @pytest.mark.parametrize("length", ["-1", "abc"])
     def test_bad_content_length_answers_400_and_closes(self, cluster, single_url, length):
         request = _post("/batch", b'{"patterns": []}', f"Content-Length: {length}")
@@ -189,6 +205,74 @@ class TestParity:
             assert status == 400
             assert json.loads(body) == {"error": f"invalid Content-Length '{length}'"}
             assert response.will_close  # the request's framing is unknown
+
+
+#: hits, misses (0.0), an astral-plane and a NUL-containing pattern, and
+#: mixed lengths (the empty pattern included).
+WIRE_PATTERNS = ["ab", "ba", "bb", "zz", "", "abab", "a\U0001f600b", "a\x00b", "b", "abba"]
+
+#: ``Accept`` values built from the pieces the negotiation looks at.
+_ACCEPT_RANGES = st.sampled_from(
+    [F64, F64, F64.upper(), "application/json", "application/*", "*/*", "text/plain"]
+)
+_ACCEPT_PARAMETERS = st.sampled_from(
+    ["", "", ";q=0", ";q=0.5", ";Q=1", " ; q=1.000", ";q=0.001", ';v="a,;b"', ";q=2", ";v"]
+)
+ACCEPT_VALUES = st.one_of(
+    st.lists(st.tuples(_ACCEPT_RANGES, _ACCEPT_PARAMETERS).map("".join), max_size=3).map(
+        ", ".join
+    ),
+    # anything a header line can carry (no CR or LF), as latin-1
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF), max_size=60),
+    st.integers(1000, 3000).map(lambda size: f"{F64}, " + "x" * size),
+)
+
+
+def _with_header(request: bytes, header: str) -> bytes:
+    """``request`` with one more header line after its request line."""
+    line, rest = request.split(b"\r\n", 1)
+    return line + b"\r\n" + header.encode("latin-1") + b"\r\n" + rest
+
+
+class TestBinaryCounts:
+    def _batch(self, url, patterns, accept):
+        request = _post("/batch", json.dumps({"patterns": patterns}).encode("utf-8"))
+        status, body, response = _exchange(url, _with_header(request, f"Accept: {accept}"))
+        return status, response.getheader("Content-Type"), body
+
+    @pytest.mark.parametrize("patterns", [WIRE_PATTERNS, UNIFORM, []])
+    def test_f64_body_is_the_kernels_le_bytes(self, cluster, single_url, reference, patterns):
+        expected = reference.release().batch_query(patterns).astype("<f8").tobytes()
+        for url in (single_url, cluster.url):
+            assert self._batch(url, patterns, F64) == (200, F64, expected)
+
+    def test_client_batch_equals_the_json_floats_bit_for_bit(self, client, cluster):
+        status, _, body = self._batch(cluster.url, WIRE_PATTERNS, "application/json")
+        assert status == 200
+        decoded = np.asarray(json.loads(body)["counts"], dtype=np.float64)
+        got = np.asarray(client.batch(WIRE_PATTERNS), dtype=np.float64)
+        assert got.tobytes() == decoded.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(accept=ACCEPT_VALUES, valid=st.booleans())
+    def test_any_accept_gets_the_same_reply_from_both_topologies(
+        self, cluster, single_url, reference, accept, valid
+    ):
+        body = json.dumps({"patterns": WIRE_PATTERNS}).encode("utf-8") if valid else b"{no"
+        request = _with_header(_post("/batch", body), f"Accept: {accept}")
+        status, payload, response = _exchange(single_url, request)
+        content_type = response.getheader("Content-Type")
+        if status == 200 and content_type == F64:
+            counts = reference.release().batch_query(WIRE_PATTERNS)
+            assert payload == counts.astype("<f8").tobytes()
+        else:
+            assert content_type == "application/json"
+            assert status == 200 or 400 <= status < 500
+            json.loads(payload)
+        status_tier, payload_tier, response_tier = _exchange(cluster.url, request)
+        assert (status_tier, response_tier.getheader("Content-Type"), payload_tier) == (
+            status, content_type, payload
+        )
 
 
 class TestHealthAndMetrics:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.serving import (
     ReleaseStore,
     ServingClient,
     ServingClientError,
+    accepts_f64,
     create_server,
 )
 
@@ -351,3 +353,204 @@ class TestFromStore:
         store = ReleaseStore(tmp_path / "store")
         with pytest.raises(ReleaseNotFoundError):
             QueryService.from_store(store)
+
+
+# ----------------------------------------------------------------------
+# Binary /batch counts (Accept: application/x-dpsc-f64)
+# ----------------------------------------------------------------------
+F64 = "application/x-dpsc-f64"
+
+#: hits, misses (0.0), an astral-plane and a NUL-containing pattern, and
+#: mixed lengths (the empty pattern included).
+WIRE_PATTERNS = ["ab", "ba", "bb", "zz", "", "abab", "a\U0001f600b", "a\x00b", "b", "abba"]
+
+
+def _raw_batch(client, patterns, accept=None):
+    """One raw ``POST /batch``: status, Content-Type and body."""
+    import json
+    import urllib.request
+
+    headers = {"Content-Type": "application/json"}
+    if accept is not None:
+        headers["Accept"] = accept
+    request = urllib.request.Request(
+        f"{client.base_url}/batch",
+        data=json.dumps({"patterns": patterns}).encode("utf-8"),
+        headers=headers,
+    )
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return response.status, response.headers["Content-Type"], response.read()
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's canned reply."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
+        pass
+
+    def do_POST(self):  # noqa: N802 - BaseHTTPRequestHandler API
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.accepts.append(self.headers.get("Accept"))
+        content_type, body = self.server.reply
+        self.send_response(200)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def stub_server():
+    """A server that answers every ``/batch`` with ``server.reply``."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.daemon_threads = True
+    server.accepts = []
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+class TestAcceptNegotiation:
+    @pytest.mark.parametrize(
+        "accept",
+        [
+            F64,
+            "Application/X-DPSC-F64",
+            f"{F64}, application/json;q=0.5",
+            f"application/json, {F64}",
+            f"{F64};Q=0.5, */*;q=0.4",
+            f'{F64};note="a;b,c", text/plain',
+            f",, {F64} ,",
+            f"{F64}; q=1.000",
+            f"text/html;q=0.9, {F64};q=0.9, application/*;q=0.9",
+        ],
+    )
+    def test_selects_f64(self, accept):
+        assert accepts_f64(accept)
+
+    @pytest.mark.parametrize(
+        "accept",
+        [
+            None,
+            "",
+            "*/*",
+            "application/*",
+            "application/json",
+            f"{F64};q=0",
+            f"application/json;q=1, {F64};q=0.1",
+            f"{F64};q=0.0001",
+            f"{F64};q=2",
+            f"{F64};q=",
+            f"{F64}, application",
+            f"{F64}; garbage",
+            "\x00\xff",
+            f"{F64}, " + "a/b, " * 300,
+        ],
+    )
+    def test_keeps_json(self, accept):
+        assert not accepts_f64(accept)
+
+
+class TestBinaryBatch:
+    def test_f64_body_is_the_kernels_le_bytes(self, http_client):
+        client, structures = http_client
+        compiled = CompiledTrie.from_structure(structures["first"])
+        status, content_type, body = _raw_batch(client, WIRE_PATTERNS, F64)
+        assert (status, content_type) == (200, F64)
+        assert body == compiled.batch_query(WIRE_PATTERNS).astype("<f8").tobytes()
+
+    def test_json_reply_is_unchanged(self, http_client):
+        import json
+
+        client, structures = http_client
+        compiled = CompiledTrie.from_structure(structures["first"])
+        expected = json.dumps(
+            {"release": "first", "counts": [float(c) for c in compiled.batch_query(WIRE_PATTERNS)]}
+        ).encode("utf-8")
+        for accept in (None, "application/json", "*/*"):
+            assert _raw_batch(client, WIRE_PATTERNS, accept) == (
+                200, "application/json", expected
+            ), accept
+
+    def test_client_batch_equals_the_json_floats_bit_for_bit(self, http_client):
+        import json
+
+        client, _ = http_client
+        _, _, body = _raw_batch(client, WIRE_PATTERNS)
+        decoded = np.asarray(json.loads(body)["counts"], dtype=np.float64)
+        got = client.batch(WIRE_PATTERNS)
+        assert all(isinstance(count, float) for count in got)
+        assert np.asarray(got, dtype=np.float64).tobytes() == decoded.tobytes()
+
+    def test_empty_batch(self, http_client):
+        client, _ = http_client
+        assert client.batch([]) == []
+        assert _raw_batch(client, [], F64) == (200, F64, b"")
+
+    def test_f64_reply_keeps_the_counters(self, http_client):
+        client, _ = http_client
+        before = client.healthz()
+        histogram = _batch_latency_count(client)
+        _raw_batch(client, WIRE_PATTERNS, F64)
+        after = client.healthz()
+        assert after["batches"] - before["batches"] == 1
+        assert after["batch_patterns"] - before["batch_patterns"] == len(WIRE_PATTERNS)
+        assert _batch_latency_count(client) == histogram + 1
+
+    def test_other_endpoints_ignore_the_f64_accept(self, http_client):
+        import json
+        import urllib.request
+
+        client, structures = http_client
+        for path, payload in (("/query", {"pattern": "ab"}), ("/mine", {"threshold": 1.0})):
+            request = urllib.request.Request(
+                f"{client.base_url}{path}",
+                data=json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json", "Accept": F64},
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert response.headers["Content-Type"] == "application/json"
+                json.loads(response.read())
+
+    def test_cli_batch_output_is_unchanged(self, http_client, capsys):
+        import json
+
+        from repro.cli import main
+
+        client, _ = http_client
+        patterns = ["ab", "ba", "zz", "abab"]
+        _, _, body = _raw_batch(client, patterns)
+        expected = "".join(
+            f"{pattern:16s} {count:12.1f}\n"
+            for pattern, count in zip(patterns, json.loads(body)["counts"])
+        )
+        assert main(["query", *patterns, "--url", client.base_url]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def _batch_latency_count(client) -> float:
+    series = client.metrics_snapshot()["dpsc_request_seconds"]["series"]
+    return next(s["value"]["count"] for s in series if s["labels"]["endpoint"] == "batch")
+
+
+class TestClientDecoding:
+    def test_client_asks_for_f64_then_json(self, stub_server):
+        stub_server.reply = (F64, np.array([1.5, -2.0], dtype="<f8").tobytes())
+        with ServingClient(f"http://127.0.0.1:{stub_server.server_address[1]}") as client:
+            assert client.batch(["a", "b"]) == [1.5, -2.0]
+        assert stub_server.accepts == [f"{F64}, application/json;q=0.5"]
+
+    @pytest.mark.parametrize("size", [0, 8, 15, 17, 24])
+    def test_wrong_f64_length_raises(self, stub_server, size):
+        stub_server.reply = (F64, bytes(size))
+        with ServingClient(f"http://127.0.0.1:{stub_server.server_address[1]}") as client:
+            with pytest.raises(ServingClientError, match="2 patterns with"):
+                client.batch(["a", "b"])
+
+    def test_json_only_server(self, stub_server):
+        stub_server.reply = ("application/json", b'{"release": "x", "counts": [3.0, 0.0, 0.25]}')
+        with ServingClient(f"http://127.0.0.1:{stub_server.server_address[1]}") as client:
+            assert client.batch(["a", "b", "c"]) == [3.0, 0.0, 0.25]
