@@ -2,12 +2,12 @@
 
 The acceptance contract of the resilience layer (``docs/RESILIENCE.md``):
 with failpoints armed from one seed — injected 500s inside every worker's
-request handler, injected connection resets on the router's worker
-round-trips — and one worker ``kill -9``'d mid-run, resilient clients
+request handler, injected connection drops on the client connections the
+workers accept — and one worker ``kill -9``'d mid-run, resilient clients
 hammering a live cluster must see **zero** errors and bit-identical
 answers; client p99 latency must stay under the per-request deadline; the
-injection logs written by the router and by every worker process must
-verify exactly against the pure recomputation of the seeded schedule
+injection log written by every worker process must verify exactly
+against the pure recomputation of the seeded schedule
 (:func:`repro.faults.verify_log` — the run is replayable, not merely
 survivable); the killed worker must be respawned; and the framework must
 be free when disarmed (min-of-N ``/batch`` round-trips with injection off
@@ -66,10 +66,10 @@ def _check_rows(rows, *, smoke):
             failures.append(
                 f"drill: injection log does not replay: {row['replay_problems']}"
             )
-        if not (row["injected_router"] and row["injected_worker"]):
+        if not (row["injected_handle"] and row["injected_drop"]):
             failures.append(
-                f"drill: expected faults at both tiers, got "
-                f"router={row['injected_router']} worker={row['injected_worker']}"
+                f"drill: expected injected 500s and connection drops, got "
+                f"{row['injected_handle']} and {row['injected_drop']}"
             )
         if not row["p99_under_deadline"]:
             failures.append(
@@ -142,8 +142,8 @@ def _main() -> int:
                 f"drill: {row['requests_total']} requests over "
                 f"{row['workers']} workers, {row['client_errors']} client "
                 f"errors, {row['mismatches']} mismatches, "
-                f"{row['injected_router']}+{row['injected_worker']} faults "
-                f"injected (router+workers), {row['respawns']} respawn(s), "
+                f"{row['injected_handle']}+{row['injected_drop']} faults "
+                f"injected (500s+drops), {row['respawns']} respawn(s), "
                 f"p99={row['p99_ms']:.0f}ms (deadline {row['deadline_s']:g}s), "
                 f"replay_identical={row['replay_identical']}"
             )

@@ -1,16 +1,18 @@
 """E27 — Sharded serving tier: throughput scaling over worker processes.
 
 The acceptance contract of the multi-process serving tier
-(:mod:`repro.serving.cluster`): uniform q-gram ``/batch`` traffic routed
-through the relaying router must be **bit-identical** to the
+(:mod:`repro.serving.cluster`): uniform q-gram ``/batch`` traffic served
+by workers accepting on the tier's one public socket must be
+**bit-identical** to the
 single-process server — both float-for-float in every client and
 byte-for-byte on a raw response body — at every worker count, and a raw
 binary ``Accept: application/x-dpsc-f64`` body must equal the kernel's
 little-endian float64 bytes; second-and-
 later workers must add ~0 private resident pages over the one mmap-shared
 ``.dpsb`` copy; a worker ``kill -9``'d mid-run must cost nothing (the
-router retries, the supervisor respawns, the clients still get complete
-identical results); and with at least 4 CPUs available, 4 workers must
+clients, which never retry, re-send once on a fresh connection, the
+supervisor respawns, the clients still get complete identical results);
+and with at least 4 CPUs available, 4 workers must
 serve at least **2.5x** the single-process pattern throughput.
 
 The speedup floors are gated on ``available_cpus`` (recorded in every

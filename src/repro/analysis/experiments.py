@@ -2044,7 +2044,7 @@ def run_serving_scale(
 
     * **bit identity** — the driver compares every response
       float-for-float against the serial in-process answers, one raw JSON
-      response body from the router is compared byte-for-byte against the
+      response body from the tier is compared byte-for-byte against the
       single-process server's for the identical request, and one raw
       binary (``Accept: application/x-dpsc-f64``) body from each server
       against the kernel's little-endian float64 bytes;
@@ -2057,8 +2057,11 @@ def run_serving_scale(
     the driver's ``mid_run`` hook ``kill -9``'s a worker while batches are
     in flight, and the run still must return complete, bit-identical
     results with the worker respawned by the supervisor afterwards.  The
-    clients never retry (``retries=0``), so only the router's retry can
-    hide the crash.
+    clients never retry (``retries=0``), so what hides the crash is the
+    client's one stale-connection re-send: a kept-alive connection the
+    killed worker held fails before any response, the client re-sends the
+    request once on a fresh connection, and a surviving (or respawned)
+    worker accepts that connection from the tier's shared listener.
 
     Speedup *numbers* are environment-honest: the row records
     ``available_cpus``, and the benchmark gates its speedup floors on it —
@@ -2423,17 +2426,17 @@ def run_chaos_drill(
     batch_size: int = 256,
     request_deadline: float = 10.0,
     worker_every: int = 5,
-    relay_every: int = 9,
+    drop_every: int = 9,
     overhead_repeats: int = 40,
 ) -> list[dict]:
     """E29 — the resilience layer under seeded, replayable fault injection.
 
     A synthetic release is served by a ``workers``-worker cluster whose
-    failpoints are armed from one seed: every ``worker_every``-th handled
-    worker request raises an injected 500 (``worker.handle``, armed via the
-    inherited environment in every spawned worker) and every
-    ``relay_every``-th router→worker round-trip raises an injected
-    connection reset (``router.relay``, armed in the router process).
+    failpoints are armed from one seed, via the environment every spawned
+    worker inherits: every ``worker_every``-th handled request raises an
+    injected 500 (``worker.handle``) and every ``drop_every``-th request a
+    worker reads from the tier's public listener has its client connection
+    closed unanswered (``worker.drop``, the connection-level fault).
     :func:`~repro.serving.run_load_test` then replays a seeded list of
     ``/query`` and 16-pattern ``/batch`` operations from ``clients``
     threads sharing one resilient :class:`~repro.serving.ServingClient`,
@@ -2441,15 +2444,14 @@ def run_chaos_drill(
     one worker.  The drill row records three gates measured, not assumed:
 
     * **zero client-visible errors** — every injected fault and the crash
-      are absorbed by retries, breakers and respawn; every answer is
-      bit-identical to the in-process reference;
+      are absorbed by client retries, stale-connection re-sends and
+      respawn; every answer is bit-identical to the in-process reference;
     * **bounded tail latency** — client p99 (the largest of the per-kind
       p99s) stays under the per-request deadline (nothing hung on a dead
       worker);
-    * **replay-identical injection** — the injection logs written by the
-      router and by every worker verify exactly against the pure
-      recomputation of the seeded schedule
-      (:func:`repro.faults.verify_log`).
+    * **replay-identical injection** — the injection log written by every
+      worker verifies exactly against the pure recomputation of the seeded
+      schedule (:func:`repro.faults.verify_log`).
 
     The overhead row prices the framework when *disarmed*: min-of-N
     ``/batch`` round-trips against a single-process server with fault
@@ -2499,12 +2501,12 @@ def run_chaos_drill(
             workload.append(Operation(kind="query", pattern=pattern))
             expected.append(expected_single[pattern])
 
-    worker_spec = faults.FaultSpec(
-        site="worker.handle", action="raise", exc="fault", every=worker_every
-    )
-    relay_spec = faults.FaultSpec(
-        site="router.relay", action="raise", exc="connection", every=relay_every
-    )
+    specs = [
+        faults.FaultSpec(
+            site="worker.handle", action="raise", exc="fault", every=worker_every
+        ),
+        faults.FaultSpec(site="worker.drop", action="drop", every=drop_every),
+    ]
 
     rows: list[dict] = []
     env_keys = (faults.ENV_SPECS, faults.ENV_SEED, faults.ENV_SCOPE, faults.ENV_LOG)
@@ -2514,15 +2516,11 @@ def run_chaos_drill(
         store.save("e29", compiled, format="binary")
         worker_log = Path(scratch) / "faults-workers.jsonl"
 
-        # Workers arm from the environment they inherit at spawn; the
-        # router process arms directly (its log stays in memory).
+        # Workers arm from the environment they inherit at spawn.
         os.environ.update(
-            faults.env_for(
-                [worker_spec], seed=seed, scope="worker", log_path=worker_log
-            )
+            faults.env_for(specs, seed=seed, scope="worker", log_path=worker_log)
         )
         try:
-            faults.arm([relay_spec], seed=seed, scope="router")
             with Cluster(store, workers=workers) as cluster:
 
                 def kill_worker() -> None:
@@ -2547,13 +2545,10 @@ def run_chaos_drill(
                     and time.monotonic() < deadline
                 ):
                     time.sleep(0.05)
-                health = cluster.router.health()
+                health = cluster.health()
                 respawns = int(cluster.respawns)
                 live_after = len(cluster.table.live())
-            router_entries = faults.injection_log()
         finally:
-            faults.disarm_all()
-            faults.clear_log()
             for key, value in saved_env.items():
                 if value is None:
                     os.environ.pop(key, None)
@@ -2561,11 +2556,11 @@ def run_chaos_drill(
                     os.environ[key] = value
 
         worker_entries = faults.read_log(worker_log)
-        problems = faults.verify_log(
-            router_entries + worker_entries,
-            [worker_spec, relay_spec],
-            seed=seed,
-        )
+        problems = faults.verify_log(worker_entries, specs, seed=seed)
+        injected = {
+            site: sum(1 for entry in worker_entries if entry["site"] == site)
+            for site in ("worker.handle", "worker.drop")
+        }
         # Per-kind maxima bound the pooled percentiles from above.
         p50 = max((q["p50"] for q in result.percentiles.values()), default=0.0)
         p99 = max((q["p99"] for q in result.percentiles.values()), default=0.0)
@@ -2579,13 +2574,12 @@ def run_chaos_drill(
                 "mismatches": len(result.mismatches),
                 "zero_failures": result.bit_identical,
                 "client_retries": client_retries,
-                "router_retries": int(health["retries"]),
                 "sheds": int(health["sheds"]),
                 "deadline_exceeded": int(health["deadline_exceeded"]),
                 "respawns": respawns,
                 "workers_live_after": live_after,
-                "injected_router": len(router_entries),
-                "injected_worker": len(worker_entries),
+                "injected_handle": injected["worker.handle"],
+                "injected_drop": injected["worker.drop"],
                 "replay_identical": not problems,
                 "replay_problems": problems[:3],
                 "p50_ms": p50 * 1e3,

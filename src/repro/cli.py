@@ -340,14 +340,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        members = ", ".join(
-            f"{worker.worker_id}:{worker.port}" for worker in cluster.workers()
-        )
+        pids = ", ".join(f"{worker.worker_id}:pid {worker.pid}" for worker in cluster.workers())
         print(
             f"dpsc cluster serving {sorted(cluster.table.versions)} "
-            f"with {args.workers} workers ({members})"
+            f"with {args.workers} workers ({pids}) accepting on one socket"
         )
-        print(f"router listening on http://{args.host}:{cluster.port}")
+        print(f"listening on http://{args.host}:{cluster.port}")
         cluster.serve_forever()
         return 0
     try:
@@ -398,7 +396,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     (docs/RESILIENCE.md)."""
     from repro import faults
     import repro.serving  # noqa: F401 - importing registers every failpoint site
-    import repro.serving.cluster  # noqa: F401 - router/worker sites
+    import repro.serving.cluster  # noqa: F401 - worker sites
     import repro.serving.schedule  # noqa: F401 - scheduler site
 
     if args.action == "list":
@@ -878,9 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="serve through the sharded cluster tier: N pre-forked worker "
-        "processes mmap-sharing one release copy behind a relaying "
-        "router on --port (1 = the single-process server)",
+        help="serve through the cluster tier: N worker processes "
+        "mmap-sharing one release copy, all accepting client connections "
+        "on --port themselves (1 = the single-process server)",
     )
     serve_parser.add_argument(
         "--no-batch",

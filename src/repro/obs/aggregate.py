@@ -1,7 +1,7 @@
 """Cross-process metrics aggregation for the sharded serving tier.
 
-The cluster router exposes one ``/metrics`` for the whole tier: its own
-registry plus every worker's, scraped as JSON snapshots
+The cluster supervisor exposes one ``/metrics`` for the whole tier: its
+own registry plus every worker's, scraped as JSON snapshots
 (:meth:`MetricsRegistry.snapshot`) and merged here.  The merge semantics
 follow the Prometheus data model, metric kind by metric kind:
 
@@ -185,7 +185,7 @@ def render_snapshot(snapshot: Mapping) -> str:
     """A snapshot dict in Prometheus text exposition format 0.0.4.
 
     The snapshot-shaped twin of :func:`repro.obs.export.render_prometheus`
-    (which renders live registries); the router uses it to expose the
+    (which renders live registries); the supervisor uses it to expose the
     merged tier snapshot.  Output validates under ``validate_exposition``.
     """
     lines: list[str] = []

@@ -40,8 +40,7 @@ PrivateCountingTrie` to serving millions of pattern queries:
     releases the idle ones.
 ``transport``
     :class:`~repro.serving.transport.ConnectionPool`, the thread-safe pool
-    of keep-alive HTTP/1.1 connections that the client and the cluster
-    router both send through.
+    of keep-alive HTTP/1.1 connections the client sends through.
 ``loadtest``
     A deterministic concurrency harness: :func:`run_load_test`, the one
     bounded load driver, replays seeded workloads from simultaneously
@@ -49,15 +48,16 @@ PrivateCountingTrie` to serving millions of pattern queries:
     against a serial replay, with a ``mid_run`` hook for crash drills
     (``dpsc bench-load``, E23, E27, E29).
 ``cluster``
-    The multi-process serving tier: a relaying router on the public port
-    over N pre-forked workers mmap-sharing one release copy,
-    with crash respawn, atomic hot reload and tier-wide metrics
-    aggregation (``dpsc serve --workers N``, E27).
+    The multi-process serving tier: N workers mmap-sharing one release
+    copy accept client connections on one inherited listening socket (no
+    relay hop), under a supervisor that owns the listener's backlog, crash
+    respawn, all-ready hot reload and the tier-wide ``/healthz`` and
+    ``/metrics`` (``dpsc serve --workers N``, E27).
 ``resilience``
     The failure-handling primitives the tier composes end to end: seeded
-    decorrelated-jitter :class:`BackoffPolicy`, per-worker
-    :class:`CircuitBreaker`, propagated per-request :class:`Deadline`
-    (:data:`DEADLINE_HEADER`), :class:`AdmissionGate` load shedding and
+    decorrelated-jitter :class:`BackoffPolicy`, a :class:`CircuitBreaker`,
+    propagated per-request :class:`Deadline` (:data:`DEADLINE_HEADER`),
+    :class:`AdmissionGate` load shedding (every server's handler) and
     :func:`call_with_retries` — exercised under seeded fault injection
     (:mod:`repro.faults`) by the chaos drill (E29; ``docs/RESILIENCE.md``).
 

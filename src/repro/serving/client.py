@@ -20,14 +20,14 @@ Resilience (docs/RESILIENCE.md):
   call, retries included — per-endpoint defaults
   (:data:`DEFAULT_ENDPOINT_TIMEOUTS`: ``/healthz`` short, ``/mine`` long)
   unless a flat ``timeout`` overrides them.  The deadline is stamped on the
-  wire as ``X-DPSC-Deadline`` so routers and workers can refuse work nobody
+  wire as ``X-DPSC-Deadline`` so servers can refuse work nobody
   is waiting for, and each attempt's socket timeout is the time remaining.
 * **Retries with seeded backoff.**  Connection-level failures and HTTP 5xx
   responses are retried (every endpoint is an idempotent read) up to
   ``retries`` times within the deadline, sleeping decorrelated-jitter
   delays from a seeded :class:`~repro.serving.resilience.BackoffPolicy` —
   deterministic per ``(seed, request sequence)``.  A ``Retry-After`` header
-  on 503 (the router's load-shedding and no-live-worker answers) overrides
+  on 503 (a server's load-shedding answer) overrides
   the backoff delay.  HTTP 4xx is never retried.
 * **Stale keep-alive connections.**  A *reused* connection that the server
   closed while it sat idle (``RemoteDisconnected``, ``ConnectionResetError``
@@ -81,7 +81,7 @@ DEFAULT_TIMEOUT = 30.0
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 #: HTTP statuses worth retrying: every 5xx is either an upstream failure
-#: (502/503/504 from the router) or an injected/unexpected server error on
+#: (502/503/504) or an injected/unexpected server error on
 #: an idempotent read.  4xx means the request itself is wrong — never retry.
 _RETRYABLE_STATUSES = range(500, 600)
 

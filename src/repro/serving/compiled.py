@@ -36,9 +36,9 @@ Lazy views and mmap zero-copy loads
 -----------------------------------
 Construction keeps only the nine canonical arrays plus O(alphabet) tables:
 the dense transition table and the NaN-folded count gathers are built on
-the *first batch query*, and the plain-list mirrors the single-query walk
-prefers are built on the *first single query* (both under a lock, published
-read-only).  That makes ``__init__`` O(header) over the node count — which
+the *first batch query*, and the zero-copy scalar views the single-query
+walk reads are made on the *first single query* (both under a lock,
+published read-only).  That makes ``__init__`` O(header) over the node count — which
 is what lets :mod:`repro.serving.binfmt` construct a compiled trie straight
 over ``mmap``-ed, page-cache-shared buffers of a binary release without
 faulting in a single node page at load time.
@@ -76,21 +76,21 @@ class _LazyViews:
 
     Built on first use so that loading an mmap'd release stays O(header):
     ``tables`` (the dense transition table + NaN-folded count gathers) on
-    the first batch query, ``lists`` (the plain-list mirrors the stdlib
-    ``bisect`` walk prefers) on the first single query.  Shared between
+    the first batch query, ``scalars`` (the zero-copy scalar views the
+    stdlib ``bisect`` walk reads) on the first single query.  Shared between
     :meth:`CompiledTrie.with_cache_size` twins — the views are pure
     functions of the shared frozen arrays, so building them once serves
     every twin.
     """
 
-    __slots__ = ("lock", "transitions", "counts_ext", "counts_zero", "lists")
+    __slots__ = ("lock", "transitions", "counts_ext", "counts_zero", "scalars")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.transitions: object = _UNSET
         self.counts_ext: np.ndarray | None = None
         self.counts_zero: np.ndarray | None = None
-        self.lists: tuple | None = None
+        self.scalars: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,8 @@ class CompiledTrie:
         self._code_table = table
         self._dead = int(counts.size)
         # Everything derived from the node/edge arrays — the dense
-        # transition table, the NaN-folded count gathers, the plain-list
-        # mirrors — is built lazily on first use (see _LazyViews), so
+        # transition table, the NaN-folded count gathers, the scalar views
+        # — is built lazily on first use (see _LazyViews), so
         # construction never touches a node page: an mmap'd release loads
         # in O(header) and N processes share one page-cache copy.
         self._lazy = _LazyViews()
@@ -325,26 +325,32 @@ class CompiledTrie:
             lazy.transitions = transitions
             return transitions, counts_ext, counts_zero
 
-    def _single_lists(self) -> tuple[list, list, list, list, list]:
-        """Plain-list mirrors ``(edge_keys, edge_targets, child_start,
-        child_end, counts)`` for the stdlib-``bisect`` single-query walk,
-        built on the first single query (list indexing beats per-call numpy
-        overhead by an order of magnitude)."""
+    def _single_scalars(self) -> tuple[memoryview, ...]:
+        """Views ``(edge_keys, edge_targets, child_start, child_end,
+        counts)`` for the stdlib-``bisect`` single-query walk, built on the
+        first single query.  Indexing a ``memoryview`` yields plain Python
+        numbers, an order of magnitude cheaper than per-call numpy
+        indexing, and unlike list mirrors the views copy nothing: every
+        process serving an mmap'd release keeps sharing its pages."""
         lazy = self._lazy
-        lists = lazy.lists
-        if lists is None:
+        scalars = lazy.scalars
+        if scalars is None:
             with lazy.lock:
-                lists = lazy.lists
-                if lists is None:
-                    lists = (
-                        self._edge_keys.tolist(),
-                        self._edge_targets.tolist(),
-                        self._child_start.tolist(),
-                        self._child_end.tolist(),
-                        self._counts.tolist(),
+                scalars = lazy.scalars
+                if scalars is None:
+                    scalars = tuple(
+                        # native byte order, contiguous: what memoryview indexes
+                        memoryview(np.ascontiguousarray(a, a.dtype.newbyteorder("=")))
+                        for a in (
+                            self._edge_keys,
+                            self._edge_targets,
+                            self._child_start,
+                            self._child_end,
+                            self._counts,
+                        )
                     )
-                    lazy.lists = lists
-        return lists
+                    lazy.scalars = scalars
+        return scalars
 
     @property
     def _transitions(self) -> np.ndarray | None:
@@ -361,7 +367,7 @@ class CompiledTrie:
         node = 0
         vocab = self._vocab
         vocab_size = self._vocab_size
-        keys, targets, child_start, child_end, _ = self._single_lists()
+        keys, targets, child_start, child_end, _ = self._single_scalars()
         for char in pattern:
             code = vocab.get(char)
             if code is None:
@@ -402,12 +408,12 @@ class CompiledTrie:
         node = self.lookup_node(pattern)
         if node < 0:
             return 0.0
-        count = self._single_lists()[4][node]
+        count = self._single_scalars()[4][node]
         return 0.0 if math.isnan(count) else count
 
     def __contains__(self, pattern: str) -> bool:
         node = self.lookup_node(pattern)
-        return node >= 0 and not math.isnan(self._single_lists()[4][node])
+        return node >= 0 and not math.isnan(self._single_scalars()[4][node])
 
     # ------------------------------------------------------------------
     # Batch queries (vectorized)

@@ -10,8 +10,8 @@ its failure-handling story (``docs/RESILIENCE.md``):
     within ``[base, cap]``.  Seeded — a fixed seed replays the exact delay
     sequence (the chaos drill and the hypothesis suite both rely on this).
 :class:`CircuitBreaker`
-    The classic closed → open → half-open machine, per worker in the
-    router: ``failure_threshold`` consecutive failures trip it open, after
+    The classic closed → open → half-open machine for guarding one
+    upstream: ``failure_threshold`` consecutive failures trip it open, after
     ``recovery_time`` it admits up to ``half_open_max_probes`` probe
     requests, one probe success recloses it, one probe failure re-opens.
     ``try_acquire`` is the only mutating admission call (probe slots are
@@ -20,15 +20,15 @@ its failure-handling story (``docs/RESILIENCE.md``):
 :class:`Deadline`
     An absolute wall-clock budget carried end to end: the client stamps
     ``X-DPSC-Deadline`` (:data:`DEADLINE_HEADER`) with ``time.time() +
-    timeout``, the router refuses or stops retrying past it, and workers
-    refuse already-expired work with 504 instead of computing answers
-    nobody is waiting for.  Wall clock, not monotonic, because the value
-    crosses process boundaries (localhost tiers share one clock; see
-    docs/RESILIENCE.md for the skew caveat).
+    timeout``, and servers refuse already-expired work with 504 instead of
+    computing answers nobody is waiting for.  Wall clock, not monotonic,
+    because the value crosses process boundaries (see docs/RESILIENCE.md
+    for the skew caveat).
 :class:`AdmissionGate`
     A bounded in-flight counter for load shedding: ``try_enter`` fails once
-    ``limit`` requests are in flight, and the router turns that into
-    ``503 + Retry-After`` instead of queueing unboundedly.
+    ``limit`` requests are in flight, and the one HTTP handler of every
+    server turns that into ``503 + Retry-After`` instead of queueing
+    unboundedly.
 
 :func:`call_with_retries` is the retry loop the scheduler (and anything
 else with a transient-exception contract) reuses: seeded backoff between
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 #: the deadline header: an absolute ``time.time()`` float, stamped by the
-#: client and propagated router -> worker.
+#: client and read by the server that answers.
 DEADLINE_HEADER = "X-DPSC-Deadline"
 
 
@@ -142,8 +142,7 @@ class CircuitBreaker:
 
     @property
     def state_code(self) -> float:
-        """0 closed, 1 half-open, 2 open (the ``dpsc_router_breaker_state``
-        gauge encoding)."""
+        """0 closed, 1 half-open, 2 open (a gauge-friendly encoding)."""
         with self._lock:
             return self._STATE_CODES[self._state]
 
@@ -244,7 +243,7 @@ class Deadline:
 
 
 class AdmissionGate:
-    """A bounded in-flight counter (the router's load-shedding primitive)."""
+    """A bounded in-flight counter (the HTTP handler's load-shedding primitive)."""
 
     def __init__(self, limit: int) -> None:
         if limit < 1:

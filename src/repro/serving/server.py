@@ -16,12 +16,13 @@ stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
 * ``POST /mine``             ``{"threshold": ..., ...}`` -> frequent patterns
 
 One handler serves both topologies.  It owns body reading, validation,
-deadline refusal, error shaping and ``/metrics`` rendering, and hands each
-validated request to a *backend*: a :class:`QueryService` answers from
-local compiled releases, a :class:`~repro.serving.cluster.Router` relays
-the request bytes to a worker pool (whose workers run this same handler
-over a :class:`QueryService`).  Error bodies are therefore the same bytes
-whichever topology answers.
+deadline refusal, admission control (``503 + Retry-After`` once
+``max_inflight`` requests are inside), error shaping and ``/metrics``
+rendering, and hands each validated request to a *backend*.  On the single
+server that backend is a :class:`QueryService`; in the cluster tier every
+worker runs this same handler on the tier's shared public listener over its
+own :class:`QueryService`, so error bodies are the same bytes whichever
+topology answers.
 
 Every operational number lives in the backend's
 :class:`repro.obs.MetricsRegistry` (request counters, per-endpoint latency
@@ -45,10 +46,11 @@ from __future__ import annotations
 import json
 import re
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, MutableSequence, Sequence
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -58,12 +60,9 @@ from repro.core.private_trie import PrivateCountingTrie
 from repro.exceptions import ReleaseNotFoundError, ReproError
 from repro.obs import MetricsRegistry, log_buckets, render_snapshot
 from repro.serving.compiled import CompiledTrie
-from repro.serving.resilience import DEADLINE_HEADER, Deadline
+from repro.serving.resilience import DEADLINE_HEADER, AdmissionGate, Deadline
 from repro.serving.store import ReleaseStore
 from repro.serving.transport import F64_MEDIA_TYPE
-
-if TYPE_CHECKING:
-    from repro.serving.cluster.router import Router
 
 __all__ = [
     "QueryService",
@@ -73,19 +72,37 @@ __all__ = [
     "serve_forever",
     "install_graceful_shutdown",
     "accepts_f64",
+    "TRAFFIC_FIELDS",
 ]
 
 #: endpoints that carry request counters and latency histograms.
 _ENDPOINTS = ("query", "batch", "mine", "healthz")
 
+#: the ``/healthz`` traffic counters, in the order of a ``traffic`` array
+#: (see :class:`QueryService`): the cluster tier sums its workers' arrays.
+TRAFFIC_FIELDS = ("queries", "batches", "batch_patterns", "mines", "sheds", "deadline_exceeded")
+_QUERIES, _BATCHES, _BATCH_PATTERNS, _MINES, _SHEDS, _DEADLINE_EXCEEDED = range(
+    len(TRAFFIC_FIELDS)
+)
+
+#: a server's slot in a shared connection-count array (see
+#: ``_Server.balance``) while it is not accepting: not yet started,
+#: draining, or dead.
+NOT_ACCEPTING = -1
+
+#: endpoints that admission control may shed: the work, not the probes.
+_SHEDDABLE = frozenset({"query", "batch", "mine"})
+
+#: the default cap on requests in flight per server before it sheds.
+DEFAULT_MAX_INFLIGHT = 256
+
 #: micro-batch flush sizes are small integers; powers of two up to the
 #: default ``max_batch`` resolve them exactly enough.
 _FLUSH_SIZE_BUCKETS = log_buckets(1.0, 512.0, 2.0)
 
-#: chaos-drill injection site at the entry of every locally answered
-#: ``/query``, ``/batch`` and ``/mine`` (health probes, metric scrapes and a
-#: router's relays stay clean, so supervision and scraping remain
-#: deterministic under chaos and only workers write ``worker.handle`` logs).
+#: chaos-drill injection site at the entry of every ``/query``, ``/batch``
+#: and ``/mine`` (health probes and metric scrapes stay clean, so
+#: supervision and scraping remain deterministic under chaos).
 _FP_HANDLE = faults.failpoint(
     "worker.handle", "Entry of every /query, /batch and /mine HTTP handler."
 )
@@ -132,10 +149,10 @@ class MicroBatcher:
     bounds how long the idle worker sleeps between condition checks.
 
     ``flush(release, patterns)`` answers one release's group and returns
-    its counts in order: the local service walks its compiled trie, the
-    router sends one worker ``/batch``.  A flush error reaches every waiter
-    of its group.  The flush counters and size histogram are registered in
-    ``metrics`` as ``{prefix}_microbatch_*``.
+    its counts in order (:class:`QueryService` walks its compiled trie).
+    A flush error reaches every waiter of its group.  The flush counters
+    and size histogram are registered in ``metrics`` as
+    ``dpsc_microbatch_*``.
     """
 
     def __init__(
@@ -143,7 +160,6 @@ class MicroBatcher:
         flush: Callable[[str | None, list[str]], Sequence[float]],
         metrics: MetricsRegistry,
         *,
-        prefix: str = "dpsc",
         max_batch: int = 256,
         max_wait: float = 0.002,
     ) -> None:
@@ -154,14 +170,14 @@ class MicroBatcher:
         self._condition = threading.Condition()
         self._closed = False
         self._flushes = metrics.counter(
-            f"{prefix}_microbatch_flushes_total", "Micro-batch flushes executed."
+            "dpsc_microbatch_flushes_total", "Micro-batch flushes executed."
         )
         self._flushed_requests = metrics.counter(
-            f"{prefix}_microbatch_requests_total",
+            "dpsc_microbatch_requests_total",
             "Single queries answered through micro-batch flushes.",
         )
         self._flush_size = metrics.histogram(
-            f"{prefix}_microbatch_flush_size",
+            "dpsc_microbatch_flush_size",
             "Requests coalesced per micro-batch flush.",
             buckets=_FLUSH_SIZE_BUCKETS,
         )
@@ -232,7 +248,14 @@ class MicroBatcher:
 class QueryService:
     """Routes queries to named compiled releases; the HTTP front-end (as its
     local backend) and the CLI both delegate here, so the logic is testable
-    without sockets."""
+    without sockets.
+
+    ``traffic``, when given, is a writable float array indexed like
+    :data:`TRAFFIC_FIELDS` that receives every ``/healthz`` traffic count
+    this service makes, next to its own registry.  A cluster worker's array
+    lives in memory its supervisor shares, so the tier's counts outlive the
+    worker.
+    """
 
     def __init__(
         self,
@@ -242,6 +265,7 @@ class QueryService:
         micro_batch: bool = True,
         max_batch: int = 256,
         max_wait: float = 0.002,
+        traffic: MutableSequence[float] | None = None,
     ) -> None:
         if not releases:
             raise ReproError("a query service needs at least one release")
@@ -291,6 +315,12 @@ class QueryService:
             "Requests refused with 504 because their X-DPSC-Deadline had "
             "already expired on arrival.",
         )
+        self._shed = self.metrics.counter(
+            "dpsc_shed_total",
+            "Requests refused with 503 + Retry-After by admission control.",
+        )
+        self._traffic = traffic
+        self._traffic_lock = threading.Lock()
         self.metrics.gauge(
             "dpsc_uptime_seconds", "Seconds since the service started."
         ).set_function(lambda: time.time() - self.started_at)
@@ -337,9 +367,16 @@ class QueryService:
         # /healthz.
         return compiled.batch_query(patterns)
 
+    def _tally(self, field: int, amount: int = 1) -> None:
+        """Add to the shared ``traffic`` array, if this service has one."""
+        if self._traffic is not None:
+            with self._traffic_lock:
+                self._traffic[field] += amount
+
     def query(self, pattern: str, release: str | None = None) -> float:
         """One pattern's noisy count, via the micro-batcher when enabled."""
         self._requests["query"].inc()
+        self._tally(_QUERIES)
         with self._latency["query"].time():
             if self._batcher is not None:
                 return self._batcher.submit(
@@ -356,6 +393,8 @@ class QueryService:
         packs it without building a Python float per count)."""
         self._requests["batch"].inc()
         self._batch_patterns.inc(len(patterns))
+        self._tally(_BATCHES)
+        self._tally(_BATCH_PATTERNS, len(patterns))
         with self._latency["batch"].time():
             return self.release(release).batch_query(patterns)
 
@@ -369,6 +408,7 @@ class QueryService:
         exact_length: int | None = None,
     ) -> list[tuple[str, float]]:
         self._requests["mine"].inc()
+        self._tally(_MINES)
         with self._latency["mine"].time():
             return self.release(release).mine(
                 threshold,
@@ -423,8 +463,17 @@ class QueryService:
     def num_deadline_exceeded(self) -> int:
         return int(self._deadline_exceeded.value)
 
+    @property
+    def num_sheds(self) -> int:
+        return int(self._shed.value)
+
     def note_deadline_exceeded(self) -> None:
         self._deadline_exceeded.inc()
+        self._tally(_DEADLINE_EXCEEDED)
+
+    def note_shed(self) -> None:
+        self._shed.inc()
+        self._tally(_SHEDS)
 
     def health(self) -> dict:
         self._requests["healthz"].inc()
@@ -447,6 +496,8 @@ class QueryService:
                 "batches": self.num_batches,
                 "batch_patterns": self.num_batch_patterns,
                 "mines": self.num_mines,
+                "sheds": self.num_sheds,
+                "deadline_exceeded": self.num_deadline_exceeded,
                 "cache": cache,
             }
             if self._batcher is not None:
@@ -465,9 +516,9 @@ class QueryService:
         deadline: Deadline | None = None,
     ) -> tuple[int, bytes, str]:
         """The HTTP backend entry: one validated request's status, body and
-        content type.  ``request`` (method, path, body) and ``deadline``
-        matter only to a backend that relays; the handler already refused
-        an expired deadline."""
+        content type.  ``request`` (method, path, body) and ``deadline`` are
+        part of the backend interface but unused here: the handler already
+        refused an expired deadline."""
         if endpoint == "releases":
             return _ok({"releases": self.releases_info()})
         if endpoint == "reload":
@@ -655,12 +706,12 @@ _POST_ENDPOINTS = {
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """The one HTTP front-end over ``server.backend`` (a :class:`QueryService`
-    or a :class:`~repro.serving.cluster.Router`).
+    """The one HTTP front-end over ``server.backend``.
 
-    Body reading, validation, deadline refusal, error shaping and
-    ``/metrics`` rendering live here once; the backend's ``serve`` sees
-    only validated requests and returns the status and body to send.
+    Body reading, validation, deadline refusal, admission control, error
+    shaping and ``/metrics`` rendering live here once; the backend's
+    ``serve`` sees only validated, admitted requests and returns the status
+    and body to send.
     """
 
     protocol_version = "HTTP/1.1"
@@ -733,12 +784,26 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("POST")
 
     def _handle(self, method: str) -> None:
+        if not self.server.enter():  # type: ignore[attr-defined]
+            # the drain is over, too late to answer: close unanswered, and
+            # the client re-sends on a fresh connection a sibling accepts
+            self.close_connection = True
+            return
+        try:
+            self._answer(method)
+        finally:
+            self.server.leave()  # type: ignore[attr-defined]
+
+    def _answer(self, method: str) -> None:
         try:
             if self.server.draining:  # type: ignore[attr-defined]
-                # a request on a kept-alive connection after shutdown began
-                # is new work: refuse it, as the closed listener would
+                # shutdown began: this is the connection's last request.  A
+                # lone server refuses it, as its closed listener would; on a
+                # shared listener it is answered, and the client's next
+                # connection reaches a live sibling.
                 self.close_connection = True
-                raise ServingHTTPError(503, "server is shutting down")
+                if not self.server.shared_listener:  # type: ignore[attr-defined]
+                    raise ServingHTTPError(503, "server is shutting down")
             self._route(method)
         except ServingHTTPError as error:
             self._error(error.message, error.status, error.retry_after)
@@ -792,39 +857,174 @@ class _Handler(BaseHTTPRequestHandler):
         if endpoint is None:
             raise ServingHTTPError(404, f"unknown path {path!r}")
         deadline = self._deadline()
-        self._send(*backend.serve(endpoint, args, (method, self.path, raw), deadline))
+        # Admission control: past max_inflight requests in flight, work is
+        # shed with 503 + Retry-After instead of queueing behind work the
+        # server cannot absorb.  Probes and scrapes are never shed.
+        gate = self.server.gate if endpoint in _SHEDDABLE else None  # type: ignore[attr-defined]
+        if gate is not None and not gate.try_enter():
+            backend.note_shed()
+            raise ServingHTTPError(
+                503,
+                f"server at capacity ({gate.limit} requests in flight)",
+                retry_after=self.server.shed_retry_after,  # type: ignore[attr-defined]
+            )
+        try:
+            self._send(*backend.serve(endpoint, args, (method, self.path, raw), deadline))
+        finally:
+            if gate is not None:
+                gate.leave()
 
 
 class _Server(ThreadingHTTPServer):
     """One handler thread per connection.  The threads are daemons, so
     ``server_close`` does not join them: a keep-alive client may hold an
     idle connection (and its thread) open for as long as it likes, and
-    shutdown must not wait for it."""
+    shutdown must not wait for it.  :meth:`drain` waits for the requests
+    being handled instead."""
 
     daemon_threads = True
-    #: set when :meth:`shutdown` begins; handlers refuse requests from then on.
+    #: set when :meth:`shutdown` begins: each connection's next request is
+    #: its last (refused with 503 unless the listener is shared).
     draining = False
+    #: other processes accept on the same listening socket (the cluster
+    #: tier's workers): a draining server answers the last request of each
+    #: connection instead of refusing it.
+    shared_listener = False
+    #: admission control (``None``: never shed) and the shed reply's hint.
+    gate: AdmissionGate | None = None
+    shed_retry_after = 0.25
+    #: on a shared listener, how long an accept waits while a sibling
+    #: process holds fewer client connections (see :meth:`balance`).
+    accept_defer = 0.002
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        self._handling = 0
+        self._drained = False
+        self._connections = 0
+        #: (shared connection counts, this server's slot), set by balance()
+        self._siblings: tuple[MutableSequence[int], int] | None = None
+
+    def balance(self, counts: MutableSequence[int], slot: int) -> None:
+        """Spread client connections evenly over the processes accepting on
+        one shared listener.  ``counts`` is an integer array in shared
+        memory with one slot per process (``slot`` is this server's), where
+        each publishes the client connections it holds, or
+        :data:`NOT_ACCEPTING`.  While some sibling holds fewer, an accept
+        waits up to ``accept_defer``, so that sibling wins the race when it
+        is free to; the wait ends as soon as no sibling holds fewer, and
+        with no sibling, or none less loaded, accepts never wait.  With
+        keep-alive, balance is per connection."""
+        self._siblings = (counts, slot)
+        self._publish()
+
+    def _publish(self) -> None:
+        if self._siblings is not None:
+            counts, slot = self._siblings
+            counts[slot] = NOT_ACCEPTING if self.draining else self._connections
+
+    def _behind_a_sibling(self) -> bool:
+        counts, slot = self._siblings
+        return any(
+            0 <= count < self._connections
+            for index, count in enumerate(counts)
+            if index != slot
+        )
+
+    def get_request(self):
+        if self._siblings is not None:
+            # Re-checked every slice: a sibling that accepts meanwhile (or
+            # sheds a connection) ends the wait at once.
+            deadline = time.monotonic() + self.accept_defer
+            while self._behind_a_sibling() and time.monotonic() < deadline:
+                time.sleep(self.accept_defer / 8)
+        request = super().get_request()  # BlockingIOError: a sibling won
+        with self._lock:
+            self._connections += 1
+            self._publish()
+        return request
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._connections -= 1
+            self._publish()
+        super().shutdown_request(request)
+
+    def enter(self) -> bool:
+        """Count one request as being handled (what :meth:`drain` waits
+        for); ``False`` once the drain is over.  Pair with :meth:`leave`."""
+        with self._lock:
+            if self._drained:
+                return False
+            self._handling += 1
+            return True
+
+    def leave(self) -> None:
+        with self._lock:
+            self._handling -= 1
 
     def shutdown(self) -> None:
         self.draining = True
+        with self._lock:
+            self._publish()
         super().shutdown()
+
+    def drain(self, timeout: float) -> bool:
+        """Stop accepting, then wait up to ``timeout`` seconds until no
+        request is being handled; whether none was left.  Requests arriving
+        after that are refused by closing their connection."""
+        self.shutdown()
+        deadline = time.monotonic() + timeout
+        while True:
+            with self._lock:
+                if not self._handling or time.monotonic() >= deadline:
+                    self._drained = True
+                    return not self._handling
+            time.sleep(0.005)
 
 
 def create_server(
-    backend: QueryService | Router,
+    backend,
     host: str = "127.0.0.1",
     port: int = 0,
     *,
     verbose: bool = False,
+    listener: socket.socket | None = None,
+    max_inflight: int | None = DEFAULT_MAX_INFLIGHT,
+    shed_retry_after: float = 0.25,
 ) -> ThreadingHTTPServer:
-    """A ready-to-run threading HTTP server over ``backend``, bound to
-    ``host:port`` (port 0 picks a free port; read it back from
-    ``server.server_address``).  ``backend`` is a :class:`QueryService` for
-    local releases or a :class:`~repro.serving.cluster.Router` for a worker
-    pool."""
-    server = _Server((host, port), _Handler)
+    """A ready-to-run threading HTTP server over ``backend`` (a
+    :class:`QueryService`, or any object with its ``serve`` / ``health`` /
+    ``metrics_snapshot`` / ``note_*`` interface), bound to ``host:port``
+    (port 0 picks a free port; read it back from ``server.server_address``).
+
+    ``listener`` serves an already listening socket instead of binding one:
+    the cluster tier's workers all accept on the one socket their supervisor
+    created.  It is switched to non-blocking, so a server that loses the
+    accept race to a sibling process gets ``BlockingIOError`` and goes back
+    to waiting (a blocking ``accept`` would hang :meth:`shutdown`).
+    ``max_inflight`` caps the queries, batches and mines in flight before
+    the server sheds (``None``: never); a shed reply carries
+    ``Retry-After: shed_retry_after``.
+    """
+    if listener is None:
+        server = _Server((host, port), _Handler)
+    else:
+        server = _Server(listener.getsockname()[:2], _Handler, bind_and_activate=False)
+        server.socket.close()  # the unbound socket TCPServer made for itself
+        listener.setblocking(False)
+        server.socket = listener
+        server.server_address = listener.getsockname()
+        server.shared_listener = True
     server.backend = backend  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
+    server.shed_retry_after = shed_retry_after
+    if max_inflight:
+        gate = server.gate = AdmissionGate(max_inflight)
+        backend.metrics.gauge(
+            "dpsc_inflight", "Queries, batches and mines currently in flight."
+        ).set_function(lambda: float(gate.inflight))
     return server
 
 
@@ -879,9 +1079,8 @@ def serve_forever(
     (``service.close`` drains its queue before joining the worker).
     ``server_close`` does not join handler threads — they are daemons, so
     idle keep-alive connections cannot hold shutdown up.  A request still
-    in flight when the process exits is cut off; behind a router, the
-    router retries it on another worker, which every endpoint, being an
-    idempotent read, allows.
+    in flight when the process exits is cut off; a retrying client may
+    re-send it, which every endpoint, being an idempotent read, allows.
     """
     server = create_server(service, host, port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]

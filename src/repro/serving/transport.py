@@ -1,13 +1,12 @@
-"""The keep-alive HTTP/1.1 transport of both serving hops.
+"""The keep-alive HTTP/1.1 transport of the serving stack.
 
-:class:`~repro.serving.client.ServingClient` (client -> server or router)
-and :class:`~repro.serving.cluster.Router` (router -> worker) send every
-request through a :class:`ConnectionPool`: one thread-safe, LIFO list of
-idle :mod:`http.client` connections per origin, so a request pays for a
-TCP connect only when no idle connection to its origin is left.  Queries
-are post-processing of a released structure and cost well under a
-millisecond; on these hops connection set-up, not the count lookup, is
-the cost that keep-alive removes.
+:class:`~repro.serving.client.ServingClient` sends every request through a
+:class:`ConnectionPool` (so does a cluster worker handing ``/healthz`` to
+its supervisor): one thread-safe, LIFO list of idle :mod:`http.client`
+connections per origin, so a request pays for a TCP connect only when no
+idle connection to its origin is left.  Queries are post-processing of a
+released structure and cost well under a millisecond; connection set-up,
+not the count lookup, is the cost that keep-alive removes.
 
 A connection serves one request at a time.  It goes back to the pool only
 after its whole response was read and the server did not ask to close;

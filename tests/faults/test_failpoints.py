@@ -49,7 +49,7 @@ class TestRegistration:
             "fsio.append",
             "binfmt.read",
             "worker.handle",
-            "router.relay",
+            "worker.drop",
             "schedule.epoch_build",
         } <= names
 

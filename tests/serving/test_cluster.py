@@ -11,15 +11,16 @@ acceptance contract:
 * a binary ``/batch`` (``Accept: application/x-dpsc-f64``) is the kernel's
   little-endian float64 bytes on both, and any ``Accept`` value gets the
   same status, ``Content-Type`` and body from both;
-* the router's ``/healthz`` counters advance by exactly the traffic sent,
+* the tier's ``/healthz`` counters advance by exactly the traffic sent,
   and its merged ``/metrics`` passes the exposition validator with gauges
   per-worker-labelled (never summed);
-* a worker ``kill -9``'d mid-batch costs nothing: the router retries on a
-  live sibling and the supervisor respawns the dead one;
-* killing the router process leaves **no orphan workers**;
-* hot reload swaps worker generations without dropping a request;
-* the router keeps its worker connections alive across client
-  connections, and closes those to workers that left the table.
+* every worker accepts client connections on the one public listener, and
+  a request sent while no worker is alive waits in its backlog;
+* a worker ``kill -9``'d mid-batch costs nothing: the client re-sends on
+  a live sibling and the supervisor respawns the dead one;
+* killing the supervisor process leaves **no orphan workers**;
+* hot reload swaps worker generations without dropping a request, and
+  kept-alive client connections to the retired generation recover.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ from repro.serving import (
     generate_workload,
     run_load_test,
 )
+from repro.serving.cluster import WorkerHandle
+from repro.serving.cluster.workers import DRAIN_TIMEOUT, SPAWN
+from repro.serving.server import NOT_ACCEPTING
 
 F64 = "application/x-dpsc-f64"
 UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one pattern length
@@ -159,13 +163,13 @@ class TestParity:
         assert client.mine(1.0) == reference.mine(1.0)
 
     def test_releases(self, client, reference):
-        via_router = client.releases()
+        via_tier = client.releases()
         serial = reference.releases_info()
         # compiled_bytes counts the result cache too, so it tracks each
         # process's traffic history — compare everything else exactly.
-        for info in via_router + serial:
+        for info in via_tier + serial:
             assert info.pop("compiled_bytes") > 0
-        assert via_router == serial
+        assert via_tier == serial
 
     def test_raw_response_bytes_identical(self, cluster, single_url):
         body = json.dumps({"patterns": ["ab", "ba", "bb", "aa"] * 256}).encode("utf-8")
@@ -279,7 +283,7 @@ class TestHealthAndMetrics:
     def test_healthz_shape(self, client, cluster):
         health = client.healthz()
         assert health["status"] == "ok"
-        assert health["role"] == "router"
+        assert health["role"] == "tier"
         workers = health["workers"]
         assert workers["alive"] == 2
         assert workers["generation"] == cluster.generation
@@ -308,30 +312,41 @@ class TestHealthAndMetrics:
         }
         assert _exchange(single_url, request)[0] == 404  # nothing to reload
 
-    def test_shed_at_capacity_is_503_with_retry_after(self, cluster, client):
-        gate = cluster.router._gate
+    def test_shed_at_capacity_is_503_with_retry_after(self, store):
+        # The gate lives in the one handler every server runs — the single
+        # process and each tier worker alike; here it is held in-process.
+        service = QueryService.from_store(store, micro_batch=False)
+        server = create_server(service, max_inflight=2)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        gate = server.gate
         held = 0
         while gate.try_enter():  # hold every admission slot
             held += 1
         try:
-            before = client.healthz()["sheds"]
-            status, body, response = _exchange(
-                cluster.url, _post("/batch", b'{"patterns": ["ab"]}')
-            )
+            assert held == 2
+            before = service.health()["sheds"]
+            status, body, response = _exchange(url, _post("/batch", b'{"patterns": ["ab"]}'))
             assert status == 503
             assert "at capacity" in json.loads(body)["error"]
             assert float(response.getheader("Retry-After")) > 0
-            assert client.healthz()["sheds"] == before + 1
+            assert service.health()["sheds"] == before + 1
+            assert _exchange(url, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")[0] == 200
         finally:
             for _ in range(held):
                 gate.leave()
-        assert client.batch(["ab"]) == [client.query("ab")]
+        with ServingClient(url) as client:
+            assert client.batch(["ab"]) == [client.query("ab")]
+        server.shutdown()
+        server.server_close()
+        service.close()
 
     def test_merged_metrics_validate(self, client):
-        client.query("ab")  # ensure traffic on both tiers
+        client.query("ab")  # ensure worker traffic
         text = client.metrics()
         assert validate_exposition(text) > 0
-        assert "dpsc_router_requests_total" in text
+        assert "dpsc_requests_total" in text
+        assert "dpsc_tier_workers_alive" in text
 
     def test_gauges_per_worker_never_summed(self, client):
         snapshot = client.metrics_snapshot()
@@ -339,6 +354,93 @@ class TestHealthAndMetrics:
         assert uptime["kind"] == "gauge"
         workers = {entry["labels"].get("worker") for entry in uptime["series"]}
         assert len(workers) == 2 and None not in workers
+
+
+def _worker_shares(client) -> dict[str, float]:
+    """Requests each worker answered, read from the tier's ``/healthz``
+    ``workers.members``."""
+    return {
+        member["id"]: float(member["queries"] + member["batches"] + member["mines"])
+        for member in client.healthz()["workers"]["members"]
+    }
+
+
+def _gained(before: dict[str, float], after: dict[str, float]) -> dict[str, float]:
+    return {worker: after[worker] - before.get(worker, 0.0) for worker in after}
+
+
+class TestSharedListener:
+    def test_both_workers_answer_fresh_connections(self, cluster, client):
+        before = _worker_shares(client)
+        body = json.dumps({"patterns": UNIFORM}).encode("utf-8")
+        connections = [
+            http.client.HTTPConnection("127.0.0.1", cluster.port, timeout=30)
+            for _ in range(8)
+        ]
+        try:
+            for connection in connections:  # eight fresh connections, all open
+                connection.connect()
+            for connection in connections:
+                connection.request("POST", "/batch", body, {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200 and response.read()
+        finally:
+            for connection in connections:
+                connection.close()
+        gained = _gained(before, _worker_shares(client))
+        assert sum(gained.values()) == 8
+        assert sorted(gained) == sorted(worker.worker_id for worker in cluster.workers())
+        assert all(count > 0 for count in gained.values()), gained
+
+    def test_request_waits_in_backlog_while_every_worker_is_dead(self, store, reference):
+        with Cluster(store, workers=2) as cluster:
+            for worker in cluster.workers():
+                worker.kill()
+            assert cluster.table.live() == []
+            # no retry: the connection waits in the supervisor-owned backlog
+            # until a respawned worker accepts it
+            with ServingClient(cluster.url, timeout=60, retries=0) as client:
+                assert client.batch(UNIFORM) == reference.batch(UNIFORM)
+            assert cluster.respawns >= 1
+
+
+    def test_connection_counts_steer_accepts_to_the_less_loaded(self, store):
+        # In-process: one server on a shared listener with a sibling slot.
+        service = QueryService.from_store(store, micro_batch=False)
+        listener = socket.create_server(("127.0.0.1", 0))
+        server = create_server(service, listener=listener)
+        counts = [NOT_ACCEPTING, NOT_ACCEPTING]
+        server.balance(counts, 0)
+        assert counts[0] == 0
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+        try:
+            with ServingClient(url) as client:
+                client.query("ab")  # one kept-alive connection
+                assert counts[0] == 1
+                # no sibling accepting, or none holding fewer: never wait
+                assert not server._behind_a_sibling()
+                counts[1] = 1
+                assert not server._behind_a_sibling()
+                counts[1] = 0
+                assert server._behind_a_sibling()
+            deadline = time.monotonic() + 10
+            while counts[0] != 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert counts[0] == 0  # the closed connection is no longer held
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert counts[0] == NOT_ACCEPTING  # a draining server is not deferred to
+
+    def test_one_worker_never_defers(self, store):
+        with Cluster(store, workers=1) as cluster:
+            (worker,) = cluster.workers()
+            assert list(worker.connections) == [0]
+            with ServingClient(cluster.url) as client:
+                client.query("ab")
+                assert list(worker.connections) == [1]
 
 
 class TestWorkerCrash:
@@ -377,6 +479,57 @@ class TestWorkerCrash:
             assert client.batch(UNIFORM) == expected
 
 
+    def test_a_worker_reaped_by_another_thread_reads_dead(self):
+        # Process.is_alive() reaps with waitpid: once another thread has
+        # reaped the child (the monitor, or a join), it can report a dead
+        # worker alive.  The handle reads the exit sentinel instead.
+        process = SPAWN.Process(target=time.sleep, args=(60,), daemon=True)
+        process.start()
+        handle = WorkerHandle("w0", 1, process, None, 0, None, None, 0)
+        assert handle.is_alive()
+        os.kill(process.pid, signal.SIGKILL)
+        os.waitpid(process.pid, 0)  # reaped behind the Process object's back
+        try:
+            assert not handle.is_alive()
+        finally:
+            process._popen.returncode = -signal.SIGKILL  # what the reaper records
+
+    def test_counters_exact_across_kill_and_reload(self, structure, tmp_path):
+        # Nothing in flight at the kill, so nothing is counted twice.  The
+        # arrays of the exited workers are folded into one totals row.
+        store = ReleaseStore(tmp_path / "store")
+        store.save("demo", structure)
+        with Cluster(store, workers=2, heartbeat_interval=0.1) as cluster, ServingClient(
+            cluster.url, timeout=60
+        ) as client:
+            before = client.healthz()
+            for _ in range(5):
+                client.batch(UNIFORM)
+            killed = cluster.workers()[0]
+            killed.kill()
+            deadline = time.monotonic() + 30
+            while len(cluster.table.live()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert cluster.respawns == 1
+            assert killed.connections[killed.slot] == 0  # the replacement's slot
+            for pattern in ("ab", "ba", "bb"):
+                client.query(pattern)
+            store.save("demo", structure)
+            assert cluster.reload()["reloaded"] is True
+            client.batch(MIXED)
+            client.batch(MIXED)
+            after = client.healthz()
+            assert after["queries"] - before["queries"] == 3
+            assert after["batches"] - before["batches"] == 7
+            assert after["batch_patterns"] - before["batch_patterns"] == (
+                5 * len(UNIFORM) + 2 * len(MIXED)
+            )
+            members = after["workers"]["members"]
+            assert sum(member["batches"] for member in members) == 2
+            assert sum(member["queries"] for member in members) == 0
+            assert sorted(cluster._counted, key=id) == sorted(cluster.workers(), key=id)
+
+
 _HOST_SCRIPT = """\
 import json, sys, time
 from repro.serving import Cluster, ReleaseStore
@@ -402,7 +555,7 @@ def _pid_alive(pid: int) -> bool:
 
 
 class TestOrphanPrevention:
-    def test_sigkilled_router_leaves_no_orphan_workers(self, store, tmp_path):
+    def test_sigkilled_supervisor_leaves_no_orphan_workers(self, store, tmp_path):
         script = tmp_path / "host_cluster.py"
         script.write_text(_HOST_SCRIPT)
         env = dict(os.environ)
@@ -468,6 +621,63 @@ class TestHotReload:
             assert cluster.generation == 2
             assert client.healthz()["workers"]["generation"] == 2
 
+    def test_kept_alive_connections_recover_across_reload(self, structure, reference, tmp_path):
+        store = ReleaseStore(tmp_path / "store")
+        store.save("demo", structure)
+        expected = reference.batch(UNIFORM)
+        with Cluster(store, workers=2) as cluster, ServingClient(
+            cluster.url, timeout=60, retries=0
+        ) as client:
+
+            def burst() -> list:
+                """Four concurrent calls: four kept-alive connections."""
+                results: list = [None] * 4
+
+                def call(index: int) -> None:
+                    try:
+                        results[index] = client.batch(UNIFORM)
+                    except Exception as error:  # noqa: BLE001
+                        results[index] = repr(error)
+
+                threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                return results
+
+            assert burst() == [expected] * 4
+            retired = cluster.workers()
+            store.save("demo", structure)
+            assert cluster.reload()["reloaded"] is True
+            assert not any(worker.is_alive() for worker in retired)
+            # every idle connection now points at an exited worker: each
+            # call is re-sent once on a fresh connection, with no retry
+            assert burst() == [expected] * 4
+            assert client.num_retries == 0
+            assert {m["generation"] for m in client.healthz()["workers"]["members"]} == {2}
+
+    def test_admin_reload_through_a_retiring_worker(self, structure, reference, tmp_path):
+        store = ReleaseStore(tmp_path / "store")
+        store.save("demo", structure)
+        with Cluster(store, workers=2) as cluster, ServingClient(
+            cluster.url, timeout=60, retries=0
+        ) as client:
+            retired = cluster.workers()
+            store.save("demo", structure)
+            started = time.monotonic()
+            # a worker of the generation being retired relays this request
+            status, body, _ = _exchange(cluster.url, _post("/admin/reload", b""))
+            assert status == 200
+            assert json.loads(body)["reloaded"] is True
+            assert json.loads(body)["generation"] == 2
+            assert time.monotonic() - started < DRAIN_TIMEOUT  # no drain waited on it
+            deadline = time.monotonic() + 30
+            while any(worker.is_alive() for worker in retired):
+                assert time.monotonic() < deadline, "retired workers never exited"
+                time.sleep(0.05)
+            assert client.batch(UNIFORM) == reference.batch(UNIFORM)
+
     def test_reload_is_noop_when_versions_unchanged(self, cluster):
         summary = cluster.reload()
         assert summary["reloaded"] is False
@@ -495,15 +705,14 @@ def _connected_ports() -> list[int]:
 
 
 class TestConnectionReuse:
-    def test_worker_connections_outlive_client_connections(self, cluster):
-        connects = cluster.router.metrics.get("dpsc_router_worker_connects_total")
-        body = json.dumps({"patterns": UNIFORM}).encode("utf-8")
-        request = _post("/batch", body, "Connection: close")
-        before = connects.value
-        for _ in range(100):
-            status, _, response = _exchange(cluster.url, request)
-            assert status == 200 and response.will_close
-        assert connects.value - before <= 2  # not one per client connection
+    def test_kept_alive_connection_stays_on_one_worker(self, cluster, client):
+        before = _worker_shares(client)
+        with ServingClient(cluster.url) as caller:
+            for _ in range(50):
+                caller.batch(UNIFORM)
+            assert caller.telemetry.get("dpsc_client_connects_total").value == 1
+        gained = _gained(before, _worker_shares(client))
+        assert sorted(gained.values()) == [0.0, 50.0]
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/net/tcp"), reason="needs Linux /proc"
@@ -514,18 +723,21 @@ class TestConnectionReuse:
         with Cluster(store, workers=2) as cluster, ServingClient(
             cluster.url, timeout=60
         ) as client:
-            retired: set[int] = set()
+            retired: list[WorkerHandle] = []
             for _ in range(3):
-                # batches relay on handler threads, queries on the batcher's
                 for pattern in ("ab", "ba", "bb"):
                     client.query(pattern)
                 client.batch(UNIFORM)
-                ports = {worker.port for worker in cluster.workers()}
+                client.healthz()  # the supervisor's side of the tier, too
+                retired += cluster.workers()
                 store.save("demo", structure)
                 assert cluster.reload()["reloaded"] is True
-                retired |= ports
             client.batch(UNIFORM)
-            assert retired.isdisjoint(_connected_ports())
+            # retired workers have exited, so the kernel closed every
+            # socket they held, and nothing here still points at them
+            assert not any(_pid_alive(worker.pid) for worker in retired)
+            assert {worker.port for worker in retired}.isdisjoint(_connected_ports())
+            assert client.num_retries == 0
 
 
 class TestShutdown:

@@ -263,9 +263,9 @@ class TestMmapParity:
         binfmt.write_binary(path, structure.compiled(cache_size=0))
         mapped = binfmt.read_binary(path, mmap=True)
         lazy = mapped._lazy
-        assert lazy.lists is None and lazy.counts_ext is None
+        assert lazy.scalars is None and lazy.counts_ext is None
         assert mapped.query("ab") == 4.0
-        assert lazy.lists is not None
+        assert lazy.scalars is not None
 
 
 class TestStoreFormatDetails:

@@ -17,6 +17,8 @@ SUBPACKAGES = [
     "repro.trees",
     "repro.workloads",
     "repro.analysis",
+    "repro.serving",
+    "repro.serving.cluster",
 ]
 
 
@@ -62,6 +64,14 @@ class TestSubpackages:
             obj = getattr(module, name)
             if callable(obj):
                 assert obj.__doc__, f"{module_name}.{name} is missing a docstring"
+
+    def test_the_tier_has_no_relaying_router(self):
+        from repro.serving import cluster
+
+        assert set(cluster.__all__) == {
+            "Cluster", "WorkerHandle", "WorkerPool", "WorkerTable", "worker_main"
+        }
+        assert not hasattr(cluster, "Router")
 
     def test_core_exports_every_theorem_builder(self):
         from repro import core
