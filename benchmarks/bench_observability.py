@@ -158,7 +158,6 @@ def run_observability_smoke(
     finally:
         server.shutdown()
         server.server_close()
-        service.close()
     return {
         "experiment": "E25",
         "title": TITLE,

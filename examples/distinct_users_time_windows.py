@@ -95,12 +95,9 @@ def main() -> None:
         # Query the live head and a pinned historical window.  Both are
         # post-processing: no further privacy cost.
         service = scheduler.current_service()
-        try:
-            pattern = "ab"
-            print(f"\nquery({pattern!r}) on the latest window's release: "
-                  f"{service.query(pattern, 'activity'):.1f}")
-        finally:
-            service.close()
+        pattern = "ab"
+        print(f"\nquery({pattern!r}) on the latest window's release: "
+              f"{service.query(pattern, 'activity'):.1f}")
         half_day = NUM_WINDOWS // 2
         pinned_version = scheduler.version_for_epoch(half_day)
         print(

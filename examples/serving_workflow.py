@@ -130,8 +130,7 @@ def analyst(client: ServingClient) -> None:
     health = client.healthz()
     print(
         f"  server health: {health['queries']} queries, "
-        f"{health['batch_patterns']} batched patterns, "
-        f"{health.get('micro_batches_flushed', 0)} micro-batches"
+        f"{health['batches']} batches of {health['batch_patterns']} patterns"
     )
 
 
@@ -154,7 +153,6 @@ def main() -> None:
         finally:
             server.shutdown()
             server.server_close()
-            service.close()
 
 
 if __name__ == "__main__":

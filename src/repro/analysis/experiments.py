@@ -1465,7 +1465,6 @@ def run_concurrent_serving(
     epsilon: float = 60.0,
     threshold: float = 30.0,
     seed: int = 23,
-    micro_batch: bool = True,
 ) -> list[dict]:
     """E23 — concurrent serving correctness and throughput.
 
@@ -1498,29 +1497,21 @@ def run_concurrent_serving(
         .with_threshold(threshold)
         .build("heavy-path", rng=rng)
     )
-    service = QueryService({workload: structure}, micro_batch=micro_batch)
-    try:
-        operations = generate_workload(service, num_operations, seed=seed + 1)
-        # One serial replay fixes the expected answers for every thread count.
-        expected = [execute_operation(service, operation) for operation in operations]
-        rows = []
-        for threads in thread_counts:
-            result = run_load_test(
-                service, operations, threads=int(threads), expected=expected
-            )
-            row = result.row()
-            row.update(
-                {
-                    "workload": workload,
-                    "n": n,
-                    "micro_batch": micro_batch,
-                    "mismatches": len(result.mismatches),
-                }
-            )
-            rows.append(row)
-        return rows
-    finally:
-        service.close()
+    service = QueryService({workload: structure})
+    operations = generate_workload(service, num_operations, seed=seed + 1)
+    # One serial replay fixes the expected answers for every thread count.
+    expected = [execute_operation(service, operation) for operation in operations]
+    rows = []
+    for threads in thread_counts:
+        result = run_load_test(
+            service, operations, threads=int(threads), expected=expected
+        )
+        row = result.row()
+        row.update(
+            {"workload": workload, "n": n, "mismatches": len(result.mismatches)}
+        )
+        rows.append(row)
+    return rows
 
 
 def _timed(run: Callable[[], object]) -> float:
@@ -2124,7 +2115,7 @@ def run_serving_scale(
         store.save("e27", compiled, format="binary")
 
         # ---------------- single-process baseline --------------------
-        service = QueryService.from_store(store, micro_batch=False)
+        service = QueryService.from_store(store)
         server = create_server(service)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         single_url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -2152,7 +2143,6 @@ def run_serving_scale(
         outcome = drive(single_url, rounds)
         server.shutdown()
         server.server_close()
-        service.close()
         rounds_done = outcome.operations - len(outcome.errors)
         patterns_total = rounds_done * batch_size
         single_throughput = (
@@ -2591,7 +2581,7 @@ def run_chaos_drill(
 
         # ---------------- disarmed-overhead row ----------------------
         body = json.dumps({"patterns": patterns}).encode("utf-8")
-        service = QueryService.from_store(store, micro_batch=False)
+        service = QueryService.from_store(store)
         server = create_server(service)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         port = server.server_address[1]
@@ -2634,7 +2624,6 @@ def run_chaos_drill(
             faults.clear_log()
             server.shutdown()
             server.server_close()
-            service.close()
         rows.append(
             {
                 "mode": "disarmed-overhead",

@@ -16,9 +16,6 @@ The package's canonical surface (see ``docs/API.md``) has three parts:
     The fluent entry point:
     ``Dataset.from_documents(...).with_budget(...).build(kind=...)`` gives a
     counter, and ``counter.release(store)`` publishes it.
-
-The pre-existing ``build_theorem*`` / ``build_qgram*`` functions remain as
-thin deprecation shims over exactly this machinery.
 """
 
 from repro.api.continual import build_continual_structure

@@ -327,7 +327,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             host=args.host,
             port=args.port,
-            micro_batch=not args.no_batch,
             mmap=not args.no_mmap,
         )
         try:
@@ -352,7 +351,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = QueryService.from_store(
             store,
             args.release or None,
-            micro_batch=not args.no_batch,
             mmap=not args.no_mmap,
         )
     except ReproError as error:
@@ -500,7 +498,6 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
     if args.workers and not args.store:
         print("error: --workers needs --store (a cluster serves a store)", file=sys.stderr)
         return 2
-    service = None
     cluster = None
     if args.url:
         target = ServingClient(args.url, timeout=args.timeout)
@@ -513,7 +510,6 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
             cluster = Cluster(
                 store,
                 workers=args.workers,
-                micro_batch=not args.no_batch,
                 mmap=not args.no_mmap,
             ).start()
         except ReproError as error:
@@ -526,13 +522,10 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
     elif args.store:
         store = ReleaseStore(args.store)
         try:
-            service = QueryService.from_store(
-                store, micro_batch=not args.no_batch, mmap=not args.no_mmap
-            )
+            target = QueryService.from_store(store, mmap=not args.no_mmap)
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        target = service
         verify_counters = True
     else:
         database, rng = _build_workload_database(
@@ -543,10 +536,7 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        service = QueryService(
-            {args.workload: structure}, micro_batch=not args.no_batch
-        )
-        target = service
+        target = QueryService({args.workload: structure})
         verify_counters = True
     if process_counts and not isinstance(target, ServingClient):
         print(
@@ -554,8 +544,6 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
             "--store with --workers N",
             file=sys.stderr,
         )
-        if service is not None:
-            service.close()
         return 2
     try:
         workload = generate_workload(target, args.ops, seed=args.seed)
@@ -608,9 +596,7 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        if service is not None:
-            service.close()
-        else:
+        if isinstance(target, ServingClient):
             target.close()
         if cluster is not None:
             cluster.stop()
@@ -881,11 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on --port themselves (1 = the single-process server)",
     )
     serve_parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable micro-batching of concurrent single queries",
-    )
-    serve_parser.add_argument(
         "--no-mmap",
         action="store_true",
         help="load binary releases into private memory instead of "
@@ -996,11 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--ell", type=int, default=12)
     bench_parser.add_argument("--epsilon", type=float, default=60.0)
     bench_parser.add_argument("--seed", type=int, default=0)
-    bench_parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable micro-batching of concurrent single queries",
-    )
     bench_parser.add_argument(
         "--no-mmap",
         action="store_true",

@@ -45,7 +45,6 @@ from repro.counting import AUTO_BACKEND
 from repro.dp.composition import PrivacyAccountant, PrivacyBudget
 from repro.dp.mechanisms import CountingMechanism, per_level_mechanism
 from repro.exceptions import ConstructionAborted
-from repro._deprecation import warn_deprecated
 
 __all__ = ["CandidateSet", "build_candidate_set", "candidate_alpha"]
 
@@ -154,50 +153,6 @@ def _prune_by_noisy_count(
             kept.append(pattern)
             kept_counts[pattern] = float(value)
     return kept, kept_counts
-
-
-#: sentinel distinguishing "lce not passed" from an explicit None.
-_LCE_UNSET = object()
-
-
-def suffix_prefix_overlaps(
-    strings: Sequence[str], overlap: int, lce: object = _LCE_UNSET
-) -> list[tuple[int, int]]:
-    """All ordered pairs ``(i, j)`` such that the length-``overlap`` suffix of
-    ``strings[i]`` equals the length-``overlap`` prefix of ``strings[j]``.
-
-    This realizes the overlap step of the paper's efficient implementation
-    (Lemma 7, Step 2) by hash-bucketing the encoded length-``overlap``
-    suffix and prefix keys and joining the buckets — ``O(k log k)`` total
-    instead of the ``O(k^2)`` all-pairs probe loop, with one bulk encode of
-    the collection instead of a per-string ``np.fromiter``.  Pairs come out
-    in the double loop's order (``i``-major, ``j`` ascending).
-
-    ``lce`` is deprecated and ignored: bucketing on the exact keys already
-    decides equality, so no extension queries remain.  Passing it (even as
-    ``None``) emits a once-per-process :class:`DeprecationWarning`.
-    """
-    if lce is not _LCE_UNSET:
-        warn_deprecated(
-            "the lce parameter of suffix_prefix_overlaps",
-            "suffix_prefix_overlaps(strings, overlap)",
-        )
-    n = len(strings)
-    if n == 0:
-        return []
-    if overlap == 0:
-        return [(i, j) for i in range(n) for j in range(n)]
-    matrix, lengths = pack_strings(strings)
-    valid = np.flatnonzero(lengths >= overlap)
-    if valid.size == 0:
-        return []
-    suffix_columns = (lengths[valid] - overlap)[:, None] + np.arange(overlap)[None, :]
-    suffix_keys = row_bytes(
-        np.ascontiguousarray(matrix[valid[:, None], suffix_columns])
-    )
-    prefix_keys = row_bytes(np.ascontiguousarray(matrix[valid, :overlap]))
-    left, right = match_overlap_pairs(suffix_keys, prefix_keys)
-    return list(zip(valid[left].tolist(), valid[right].tolist()))
 
 
 def build_candidate_set(

@@ -43,7 +43,6 @@ import math
 import numpy as np
 
 from repro import obs
-from repro._deprecation import warn_deprecated
 from repro.core.array_build import (
     PAD,
     annotate_counts_array,
@@ -70,8 +69,6 @@ from repro.trees.heavy_path import FlatHeavyPathDecomposition, HeavyPathDecompos
 
 __all__ = [
     "build_private_counting_structure",
-    "build_theorem1_structure",
-    "build_theorem2_structure",
     "annotate_trie_with_exact_counts",
 ]
 
@@ -593,58 +590,3 @@ def _prune(trie: Trie, threshold: float) -> None:
                 trie.delete_subtree(child)
             else:
                 stack.append(child)
-
-
-# ----------------------------------------------------------------------
-# Deprecated named wrappers matching the paper's theorem statements (the
-# pre-repro.api public surface; kind "heavy-path" in the registry).
-# ----------------------------------------------------------------------
-def build_theorem1_structure(
-    database: StringDatabase,
-    epsilon: float,
-    *,
-    beta: float = 0.05,
-    delta_cap: int | None = None,
-    rng: np.random.Generator | None = None,
-    threshold: float | None = None,
-) -> PrivateCountingTrie:
-    """Theorem 1: the epsilon-differentially private structure.
-
-    Deprecated; prefer
-    ``Dataset.from_database(db).with_budget(epsilon).build("heavy-path")``.
-    Results are identical under the same rng.
-    """
-    warn_deprecated(
-        "build_theorem1_structure",
-        'Dataset...with_budget(epsilon).build("heavy-path")',
-    )
-    params = ConstructionParams.pure(
-        epsilon, beta=beta, delta_cap=delta_cap, threshold=threshold
-    )
-    return build_private_counting_structure(database, params, rng=rng)
-
-
-def build_theorem2_structure(
-    database: StringDatabase,
-    epsilon: float,
-    delta: float,
-    *,
-    beta: float = 0.05,
-    delta_cap: int | None = None,
-    rng: np.random.Generator | None = None,
-    threshold: float | None = None,
-) -> PrivateCountingTrie:
-    """Theorem 2: the (epsilon, delta)-differentially private structure.
-
-    Deprecated; prefer
-    ``Dataset.from_database(db).with_budget(epsilon, delta).build("heavy-path")``.
-    Results are identical under the same rng.
-    """
-    warn_deprecated(
-        "build_theorem2_structure",
-        'Dataset...with_budget(epsilon, delta).build("heavy-path")',
-    )
-    params = ConstructionParams.approximate(
-        epsilon, delta, beta=beta, delta_cap=delta_cap, threshold=threshold
-    )
-    return build_private_counting_structure(database, params, rng=rng)

@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 from repro import obs
-from repro._deprecation import warn_deprecated
 from repro.core.array_build import SortJoinCounter, pack_strings
 from repro.core.candidate_set import build_candidate_set, candidate_alpha
 from repro.core.database import StringDatabase
@@ -47,9 +46,6 @@ __all__ = [
     "qgram_counting_structure",
     "theorem3_qgram_structure",
     "theorem4_qgram_structure",
-    "build_qgram_structure",
-    "build_theorem3_qgram_structure",
-    "build_theorem4_qgram_structure",
 ]
 
 
@@ -64,8 +60,7 @@ def qgram_counting_structure(
     """Dispatch to the pure-DP (Theorem 3) or approximate-DP (Theorem 4)
     q-gram construction depending on the budget.
 
-    This is the canonical (non-deprecated) q-gram entry point; the
-    :mod:`repro.api` registry exposes the two constructions explicitly as
+    The :mod:`repro.api` registry exposes the two constructions explicitly as
     the ``"qgram-t3"`` and ``"qgram-t4"`` structure kinds.
     """
     if params.is_pure:
@@ -377,55 +372,3 @@ def theorem4_qgram_structure(
     if trace_root is not None:
         structure.profile = obs.BuildProfile(trace_root)
     return structure
-
-
-# ----------------------------------------------------------------------
-# Deprecated entry points (the pre-repro.api public surface).
-# ----------------------------------------------------------------------
-def build_qgram_structure(
-    database: StringDatabase,
-    q: int,
-    params: ConstructionParams,
-    *,
-    rng: np.random.Generator | None = None,
-) -> PrivateCountingTrie:
-    """Deprecated alias of :func:`qgram_counting_structure`; prefer
-    ``Dataset.from_database(db).with_params(params).build("qgram-t3", q=q)``
-    (or ``"qgram-t4"``).  Results are identical under the same rng."""
-    warn_deprecated(
-        "build_qgram_structure", 'Dataset...build("qgram-t3"/"qgram-t4", q=q)'
-    )
-    return qgram_counting_structure(database, q, params, rng=rng)
-
-
-def build_theorem3_qgram_structure(
-    database: StringDatabase,
-    q: int,
-    params: ConstructionParams,
-    *,
-    rng: np.random.Generator | None = None,
-    candidate_qgrams: list[str] | None = None,
-) -> PrivateCountingTrie:
-    """Deprecated alias of :func:`theorem3_qgram_structure` (registry kind
-    ``"qgram-t3"``).  Results are identical under the same rng."""
-    warn_deprecated(
-        "build_theorem3_qgram_structure", 'Dataset...build("qgram-t3", q=q)'
-    )
-    return theorem3_qgram_structure(
-        database, q, params, rng=rng, candidate_qgrams=candidate_qgrams
-    )
-
-
-def build_theorem4_qgram_structure(
-    database: StringDatabase,
-    q: int,
-    params: ConstructionParams,
-    *,
-    rng: np.random.Generator | None = None,
-) -> PrivateCountingTrie:
-    """Deprecated alias of :func:`theorem4_qgram_structure` (registry kind
-    ``"qgram-t4"``).  Results are identical under the same rng."""
-    warn_deprecated(
-        "build_theorem4_qgram_structure", 'Dataset...build("qgram-t4", q=q)'
-    )
-    return theorem4_qgram_structure(database, q, params, rng=rng)

@@ -29,9 +29,8 @@ PrivateCountingTrie` to serving millions of pattern queries:
     (``dpsc epochs run/status``; see ``docs/CONTINUAL.md``).
 ``server`` / ``client``
     A stdlib ``ThreadingHTTPServer`` JSON API (``/query``, ``/batch``,
-    ``/mine``, ``/releases``, ``/healthz``) with request micro-batching and
-    per-release routing — one front-end for the single process and the
-    tier; ``/batch`` also answers raw little-endian float64 counts
+    ``/mine``, ``/releases``, ``/healthz``) with per-release routing — one
+    front-end for the single process and the tier; ``/batch`` also answers raw little-endian float64 counts
     (:data:`F64_MEDIA_TYPE`) to a client whose ``Accept`` asks for them
     (:func:`accepts_f64`) — plus a client that asks for them, and that
     one can share across threads: its calls
@@ -96,7 +95,6 @@ from repro.serving.loadtest import (
 )
 from repro.serving.schedule import EpochRelease, EpochScheduler
 from repro.serving.server import (
-    MicroBatcher,
     QueryService,
     ServingHTTPError,
     create_server,
@@ -131,7 +129,6 @@ __all__ = [
     "execute_operation",
     "generate_workload",
     "run_load_test",
-    "MicroBatcher",
     "QueryService",
     "ServingHTTPError",
     "accepts_f64",

@@ -101,7 +101,6 @@ class Cluster:
         host: str = "127.0.0.1",
         port: int = 0,
         mmap: bool = True,
-        micro_batch: bool = True,
         heartbeat_interval: float = 0.25,
         http_heartbeat_interval: float = 2.0,
         heartbeat_misses: int = 3,
@@ -126,7 +125,6 @@ class Cluster:
         self._pool = WorkerPool(
             self.store.root,
             mmap=mmap,
-            micro_batch=micro_batch,
             max_inflight=max_inflight,
             shed_retry_after=shed_retry_after,
             spawn_timeout=spawn_timeout,

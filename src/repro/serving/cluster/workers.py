@@ -48,10 +48,9 @@ Process discipline (all of it load-bearing for the cluster tests):
 * **graceful drain** — a ``"stop"`` control message (or SIGTERM directly
   to the worker) stops accepting, answers requests on the connections the
   worker holds (each with ``Connection: close``, so the client's next
-  connection reaches a live worker) until none is being handled, and
-  flushes the micro-batcher before the process exits.  A request arriving
-  after that is refused by closing its connection unanswered: the client
-  re-sends it on a fresh connection.
+  connection reaches a live worker) until none is being handled, then
+  exits.  A request arriving after that is refused by closing its
+  connection unanswered: the client re-sends it on a fresh connection.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ def worker_main(config: dict, conn, listener, traffic, connections, slot: int) -
     """Entry point of one spawned worker process.
 
     ``config`` is a plain picklable dict: ``store_root``, ``versions``
-    (name -> pinned version), ``mmap``, ``micro_batch``, ``admin_port``,
+    (name -> pinned version), ``mmap``, ``admin_port``,
     ``max_inflight`` and ``shed_retry_after``.  ``conn`` is the child end of
     the control pipe, ``listener`` the tier's listening socket,
     ``traffic`` this worker's shared traffic array, and ``connections`` the
@@ -189,7 +188,6 @@ def worker_main(config: dict, conn, listener, traffic, connections, slot: int) -
             store,
             versions={name: int(v) for name, v in config["versions"].items()},
             mmap=bool(config["mmap"]),
-            micro_batch=bool(config["micro_batch"]),
             traffic=traffic,
         )
         for name in config["versions"]:
@@ -227,7 +225,6 @@ def worker_main(config: dict, conn, listener, traffic, connections, slot: int) -
         private.shutdown()
         public.server_close()  # closes this process's copy of the listener
         private.server_close()
-        service.close()  # flushes queued micro-batches
         try:
             conn.send(("stopped",))
         except (OSError, ValueError):
@@ -337,7 +334,6 @@ class WorkerPool:
         store_root,
         *,
         mmap: bool = True,
-        micro_batch: bool = True,
         max_inflight: int | None = DEFAULT_MAX_INFLIGHT,
         shed_retry_after: float = 0.25,
         spawn_timeout: float = 60.0,
@@ -348,7 +344,6 @@ class WorkerPool:
         self.listener = None
         self.admin_port = 0
         self.mmap = mmap
-        self.micro_batch = micro_batch
         self.max_inflight = max_inflight
         self.shed_retry_after = shed_retry_after
         self.spawn_timeout = spawn_timeout
@@ -366,7 +361,6 @@ class WorkerPool:
             "store_root": self.store_root,
             "versions": {name: int(v) for name, v in versions.items()},
             "mmap": self.mmap,
-            "micro_batch": self.micro_batch,
             "admin_port": self.admin_port,
             "max_inflight": self.max_inflight,
             "shed_retry_after": self.shed_retry_after,

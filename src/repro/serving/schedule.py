@@ -386,7 +386,7 @@ class EpochScheduler:
     def current_service(self, **kwargs) -> "QueryService":
         """A fresh single-process :class:`QueryService` pinned to the latest
         published version — the swap path for non-cluster servers (build the
-        new service, exchange the handle, ``close()`` the old one)."""
+        new service and exchange the handle)."""
         from repro.serving.server import QueryService
 
         version = self.store.resolve_version(self.release_name)

@@ -26,19 +26,13 @@ topology answers.
 
 Every operational number lives in the backend's
 :class:`repro.obs.MetricsRegistry` (request counters, per-endpoint latency
-histograms, micro-batch flush sizes, per-release cache statistics);
+histograms, per-release cache statistics);
 ``/healthz`` and ``/metrics`` are two views of that one registry.
 
-Two serving tricks carry the throughput story (benchmarked in
-``benchmarks/bench_serving.py``):
-
-1. every release is compiled to a :class:`~repro.serving.compiled.CompiledTrie`
-   at load time, so ``/batch`` requests hit the vectorized numpy path; and
-2. concurrent single ``/query`` requests are *micro-batched*: a background
-   worker eagerly drains the request queue into one vectorized
-   ``batch_query`` call, so requests arriving during an in-flight flush
-   coalesce into the next batch and heavy single-query traffic rides the
-   batch fast path instead of contending on the GIL.
+Every release is compiled to a :class:`~repro.serving.compiled.CompiledTrie`
+at load time (benchmarked in ``benchmarks/bench_serving.py``): ``/batch``
+requests hit its vectorized numpy path, and each ``/query`` runs its
+LRU-cached single-pattern walk on the handler thread that read the request.
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ import numpy as np
 from repro import faults
 from repro.core.private_trie import PrivateCountingTrie
 from repro.exceptions import ReleaseNotFoundError, ReproError
-from repro.obs import MetricsRegistry, log_buckets, render_snapshot
+from repro.obs import MetricsRegistry, render_snapshot
 from repro.serving.compiled import CompiledTrie
 from repro.serving.resilience import DEADLINE_HEADER, AdmissionGate, Deadline
 from repro.serving.store import ReleaseStore
@@ -66,7 +60,6 @@ from repro.serving.transport import F64_MEDIA_TYPE
 
 __all__ = [
     "QueryService",
-    "MicroBatcher",
     "ServingHTTPError",
     "create_server",
     "serve_forever",
@@ -96,10 +89,6 @@ _SHEDDABLE = frozenset({"query", "batch", "mine"})
 #: the default cap on requests in flight per server before it sheds.
 DEFAULT_MAX_INFLIGHT = 256
 
-#: micro-batch flush sizes are small integers; powers of two up to the
-#: default ``max_batch`` resolve them exactly enough.
-_FLUSH_SIZE_BUCKETS = log_buckets(1.0, 512.0, 2.0)
-
 #: chaos-drill injection site at the entry of every ``/query``, ``/batch``
 #: and ``/mine`` (health probes and metric scrapes stay clean, so
 #: supervision and scraping remain deterministic under chaos).
@@ -125,126 +114,6 @@ class ServingHTTPError(ReproError):
         self.retry_after = retry_after
 
 
-class _PendingQuery:
-    """One single-pattern query waiting for a micro-batch flush."""
-
-    __slots__ = ("pattern", "release", "event", "result", "error")
-
-    def __init__(self, pattern: str, release: str | None) -> None:
-        self.pattern = pattern
-        self.release = release
-        self.event = threading.Event()
-        self.result: float = 0.0
-        self.error: Exception | None = None
-
-
-class MicroBatcher:
-    """Coalesces concurrent single queries into one flush per release.
-
-    The worker flushes *eagerly*: a lone request is answered immediately
-    (no artificial latency floor for sequential clients), while requests
-    arriving during an in-flight flush pile up and are drained as one
-    batch of up to ``max_batch`` on the next iteration — batching emerges
-    from concurrency instead of from a fixed wait.  ``max_wait`` only
-    bounds how long the idle worker sleeps between condition checks.
-
-    ``flush(release, patterns)`` answers one release's group and returns
-    its counts in order (:class:`QueryService` walks its compiled trie).
-    A flush error reaches every waiter of its group.  The flush counters
-    and size histogram are registered in ``metrics`` as
-    ``dpsc_microbatch_*``.
-    """
-
-    def __init__(
-        self,
-        flush: Callable[[str | None, list[str]], Sequence[float]],
-        metrics: MetricsRegistry,
-        *,
-        max_batch: int = 256,
-        max_wait: float = 0.002,
-    ) -> None:
-        self._flush_group = flush
-        self._max_batch = max_batch
-        self._max_wait = max_wait
-        self._queue: list[_PendingQuery] = []
-        self._condition = threading.Condition()
-        self._closed = False
-        self._flushes = metrics.counter(
-            "dpsc_microbatch_flushes_total", "Micro-batch flushes executed."
-        )
-        self._flushed_requests = metrics.counter(
-            "dpsc_microbatch_requests_total",
-            "Single queries answered through micro-batch flushes.",
-        )
-        self._flush_size = metrics.histogram(
-            "dpsc_microbatch_flush_size",
-            "Requests coalesced per micro-batch flush.",
-            buckets=_FLUSH_SIZE_BUCKETS,
-        )
-        self._worker = threading.Thread(
-            target=self._run, name="repro-microbatcher", daemon=True
-        )
-        self._worker.start()
-
-    @property
-    def batches_flushed(self) -> int:
-        return int(self._flushes.value)
-
-    @property
-    def requests_batched(self) -> int:
-        return int(self._flushed_requests.value)
-
-    def submit(self, pattern: str, release: str | None) -> float:
-        """Enqueue one query and block until its batch is answered."""
-        pending = _PendingQuery(pattern, release)
-        with self._condition:
-            if self._closed:
-                raise ServingHTTPError(503, "server is shutting down")
-            self._queue.append(pending)
-            self._condition.notify()
-        pending.event.wait()
-        if pending.error is not None:
-            raise pending.error
-        return pending.result
-
-    def close(self) -> None:
-        with self._condition:
-            self._closed = True
-            self._condition.notify_all()
-        self._worker.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while True:
-            with self._condition:
-                while not self._queue and not self._closed:
-                    self._condition.wait(timeout=self._max_wait)
-                if self._closed and not self._queue:
-                    return
-                batch = self._queue[: self._max_batch]
-                del self._queue[: len(batch)]
-            if batch:
-                self._flush(batch)
-
-    def _flush(self, batch: list[_PendingQuery]) -> None:
-        self._flushes.inc()
-        self._flushed_requests.inc(len(batch))
-        self._flush_size.observe(float(len(batch)))
-        by_release: dict[str | None, list[_PendingQuery]] = {}
-        for pending in batch:
-            by_release.setdefault(pending.release, []).append(pending)
-        for release, group in by_release.items():
-            try:
-                counts = self._flush_group(release, [p.pattern for p in group])
-                for pending, count in zip(group, counts):
-                    pending.result = float(count)
-            except Exception as error:  # propagate to every waiter
-                for pending in group:
-                    pending.error = error
-            finally:
-                for pending in group:
-                    pending.event.set()
-
-
 class QueryService:
     """Routes queries to named compiled releases; the HTTP front-end (as its
     local backend) and the CLI both delegate here, so the logic is testable
@@ -262,9 +131,6 @@ class QueryService:
         releases: Mapping[str, CompiledTrie | PrivateCountingTrie],
         *,
         default_release: str | None = None,
-        micro_batch: bool = True,
-        max_batch: int = 256,
-        max_wait: float = 0.002,
         traffic: MutableSequence[float] | None = None,
     ) -> None:
         if not releases:
@@ -333,13 +199,6 @@ class QueryService:
                 ).set_function(
                     lambda c=compiled, f=field_name: getattr(c.cache_info(), f)
                 )
-        self._batcher = (
-            MicroBatcher(
-                self._flush, self.metrics, max_batch=max_batch, max_wait=max_wait
-            )
-            if micro_batch
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Routing
@@ -354,19 +213,6 @@ class QueryService:
                 f"(serving: {sorted(self._releases)})"
             ) from None
 
-    def _flush(self, release: str, patterns: list[str]) -> Sequence[float]:
-        """One micro-batch group's counts."""
-        compiled = self.release(release)
-        if len(patterns) == 1:
-            # The cached array walk: sequential hot patterns keep
-            # benefiting from the LRU even with batching enabled.
-            return [compiled.query(patterns[0])]
-        # The *uncounted* batch path: these requests were already counted
-        # as single queries in num_queries, so routing the flush through
-        # the public batch() would misreport them as /batch traffic in
-        # /healthz.
-        return compiled.batch_query(patterns)
-
     def _tally(self, field: int, amount: int = 1) -> None:
         """Add to the shared ``traffic`` array, if this service has one."""
         if self._traffic is not None:
@@ -374,14 +220,11 @@ class QueryService:
                 self._traffic[field] += amount
 
     def query(self, pattern: str, release: str | None = None) -> float:
-        """One pattern's noisy count, via the micro-batcher when enabled."""
+        """One pattern's noisy count: the compiled trie's LRU-cached walk,
+        run on the calling (handler) thread."""
         self._requests["query"].inc()
         self._tally(_QUERIES)
         with self._latency["query"].time():
-            if self._batcher is not None:
-                return self._batcher.submit(
-                    pattern, release or self.default_release
-                )
             return self.release(release).query(pattern)
 
     def batch(self, patterns: Sequence[str], release: str | None = None) -> list[float]:
@@ -487,7 +330,7 @@ class QueryService:
             # is fine for the consumers we have — the load test checks the
             # deltas at quiescence, and monitoring tolerates a batch
             # observed a beat before its patterns.
-            payload = {
+            return {
                 "status": "ok",
                 "uptime_seconds": time.time() - self.started_at,
                 "releases": sorted(self._releases),
@@ -500,10 +343,6 @@ class QueryService:
                 "deadline_exceeded": self.num_deadline_exceeded,
                 "cache": cache,
             }
-            if self._batcher is not None:
-                payload["micro_batches_flushed"] = self._batcher.batches_flushed
-                payload["micro_batched_requests"] = self._batcher.requests_batched
-            return payload
 
     def metrics_snapshot(self) -> dict:
         return self.metrics.snapshot()
@@ -548,11 +387,6 @@ class QueryService:
                 "patterns": [[p, c] for p, c in patterns],
             }
         )
-
-    def close(self) -> None:
-        if self._batcher is not None:
-            self._batcher.close()
-            self._batcher = None
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -1075,12 +909,11 @@ def serve_forever(
     The drain order is the graceful-shutdown contract the cluster tier
     reuses: stop accepting (``shutdown``; from then on a request arriving
     on a kept-alive connection is answered 503 and the connection closed),
-    close the listener (``server_close``), then flush the micro-batcher
-    (``service.close`` drains its queue before joining the worker).
-    ``server_close`` does not join handler threads — they are daemons, so
-    idle keep-alive connections cannot hold shutdown up.  A request still
-    in flight when the process exits is cut off; a retrying client may
-    re-send it, which every endpoint, being an idempotent read, allows.
+    then close the listener (``server_close``).  ``server_close`` does not
+    join handler threads — they are daemons, so idle keep-alive
+    connections cannot hold shutdown up.  A request still in flight when
+    the process exits is cut off; a retrying client may re-send it, which
+    every endpoint, being an idempotent read, allows.
     """
     server = create_server(service, host, port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
@@ -1095,4 +928,3 @@ def serve_forever(
         restore()
         server.shutdown()
         server.server_close()
-        service.close()

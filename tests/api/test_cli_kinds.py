@@ -42,7 +42,7 @@ class TestReleasesKind:
         assert structure.metadata.qgram_length == 3
         assert structure.metadata.construction.startswith("theorem-3")
 
-        service = QueryService.from_store(store, micro_batch=False)
+        service = QueryService.from_store(store)
         patterns = [p for p, _ in structure.items()][:4] or ["ACG"]
         assert service.batch(patterns) == [structure.query(p) for p in patterns]
 

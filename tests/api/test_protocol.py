@@ -84,7 +84,7 @@ class TestProtocol:
 
     def test_serves_through_query_service(self, counters, kind):
         counter = counters[kind]
-        service = QueryService({kind: counter}, micro_batch=False)
+        service = QueryService({kind: counter})
         patterns = [p for p, _ in counter.items()][:5] or ["ab"]
         assert service.batch(patterns, release=kind) == [
             counter.query(p) for p in patterns

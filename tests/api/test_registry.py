@@ -14,6 +14,7 @@ from repro.api import (
 )
 from repro.core.construction import build_private_counting_structure
 from repro.core.params import ConstructionParams
+from repro.core.qgram_structure import theorem3_qgram_structure, theorem4_qgram_structure
 from repro.exceptions import ReproError, UnknownStructureKindError
 
 
@@ -51,6 +52,53 @@ class TestDefaultRegistry:
         registry = default_registry()
         with pytest.raises(ReproError, match="already registered"):
             registry.register("heavy-path", lambda *a, **k: None)
+
+
+class TestKindsMatchTheirConstructions:
+    """Each paper kind is exactly its construction function: the same
+    released structure under the same rng."""
+
+    def test_heavy_path_is_build_private_counting_structure(self, example_db):
+        params = ConstructionParams.pure(2.0, beta=0.1)
+        direct = build_private_counting_structure(
+            example_db, params, rng=np.random.default_rng(0)
+        )
+        built = (
+            Dataset.from_database(example_db)
+            .with_params(params)
+            .build("heavy-path", rng=np.random.default_rng(0))
+        )
+        assert direct.to_payload()["counts"] == built.to_payload()["counts"]
+        assert direct.metadata == built.metadata
+
+    @pytest.mark.parametrize(
+        "kind, construct, params",
+        [
+            (
+                "qgram-t3",
+                theorem3_qgram_structure,
+                ConstructionParams.pure(2.0, beta=0.1, noiseless=True, threshold=1.0),
+            ),
+            (
+                "qgram-t4",
+                theorem4_qgram_structure,
+                ConstructionParams.approximate(
+                    2.0, 1e-6, beta=0.1, noiseless=True, threshold=1.0
+                ),
+            ),
+        ],
+    )
+    def test_qgram_kinds_are_their_theorem_functions(
+        self, example_db, kind, construct, params
+    ):
+        direct = construct(example_db, 2, params, rng=np.random.default_rng(0))
+        built = (
+            Dataset.from_database(example_db)
+            .with_params(params)
+            .build(kind, rng=np.random.default_rng(0), q=2)
+        )
+        assert direct.to_payload()["counts"] == built.to_payload()["counts"]
+        assert direct.metadata == built.metadata
 
 
 class TestCustomKinds:

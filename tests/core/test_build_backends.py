@@ -172,22 +172,14 @@ class TestPipelineEquivalence:
         )
 
     def test_timings_are_diagnostics_not_payload(self, small_db, rng):
-        from repro._deprecation import reset_deprecation_warnings
-
         params = ConstructionParams.pure(5.0, beta=0.1)
         structure = build_private_counting_structure(small_db, params, rng=rng)
-        # The modern surface: a span-tree profile...
+        # The build's span-tree profile is diagnostics...
         assert structure.profile is not None
         assert structure.profile.build_backend == "array"
         assert structure.profile.total_seconds > 0
         assert "candidates" in structure.profile.stages()
-        # ...and the deprecated dict view derived from it, warning once.
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="timings"):
-            timings = structure.timings
-        assert timings["build_backend"] == "array"
-        assert timings["total_seconds"] > 0
-        assert "candidates" in timings["stages"]
+        # ...never part of the released payload.
         payload = structure.to_dict()
         assert "construction_seconds" not in payload["report"]
         assert "timings" not in payload

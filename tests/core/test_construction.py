@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Dataset
 from repro.core.candidate_set import build_candidate_set
 from repro.core.construction import (
     annotate_trie_with_exact_counts,
     build_private_counting_structure,
-    build_theorem1_structure,
-    build_theorem2_structure,
 )
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
@@ -173,19 +172,22 @@ class TestPrivateConstruction:
         assert structure.metadata.threshold > example_db.total_length
         assert structure.query("zzzz") == 0.0
 
-    def test_wrapper_functions(self, small_db):
-        pure = build_theorem1_structure(
-            small_db, epsilon=1.0, rng=np.random.default_rng(0)
+    def test_budget_selects_the_theorem(self, small_db):
+        dataset = Dataset.from_database(small_db)
+        pure = dataset.with_budget(1.0).build(
+            "heavy-path", rng=np.random.default_rng(0)
         )
         assert pure.metadata.delta == 0.0
-        approx = build_theorem2_structure(
-            small_db, epsilon=1.0, delta=1e-5, rng=np.random.default_rng(0)
+        assert pure.metadata.construction.startswith("theorem-1")
+        approx = dataset.with_budget(1.0, 1e-5).build(
+            "heavy-path", rng=np.random.default_rng(0)
         )
         assert approx.metadata.delta == 1e-5
+        assert approx.metadata.construction.startswith("theorem-2")
 
     def test_report_fields_present(self, small_db):
-        structure = build_theorem1_structure(
-            small_db, epsilon=1.0, rng=np.random.default_rng(0)
+        structure = build_private_counting_structure(
+            small_db, ConstructionParams.pure(1.0), rng=np.random.default_rng(0)
         )
         for key in (
             "candidate_size",

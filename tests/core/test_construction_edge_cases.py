@@ -13,7 +13,7 @@ from repro.core.construction import build_private_counting_structure
 from repro.core.database import StringDatabase
 from repro.core.params import DOCUMENT_COUNT, ConstructionParams
 from repro.core.private_trie import PrivateCountingTrie
-from repro.core.qgram_structure import build_qgram_structure
+from repro.core.qgram_structure import qgram_counting_structure
 from repro.exceptions import PrivacyParameterError
 from repro.strings.naive import all_substrings
 
@@ -107,7 +107,7 @@ class TestParameterHandling:
             ConstructionParams.pure(epsilon=-2.0)
 
     def test_qgram_q_equal_one(self, example_db):
-        structure = build_qgram_structure(example_db, 1, noiseless_params())
+        structure = qgram_counting_structure(example_db, 1, noiseless_params())
         for letter in "abes":
             assert structure.query(letter) == pytest.approx(
                 example_db.substring_count(letter)
@@ -115,7 +115,7 @@ class TestParameterHandling:
 
     def test_qgram_q_equal_ell(self, example_db):
         q = example_db.max_length
-        structure = build_qgram_structure(example_db, q, noiseless_params())
+        structure = qgram_counting_structure(example_db, q, noiseless_params())
         assert structure.query("absab") == pytest.approx(1)
 
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
 from repro.core.qgram_structure import (
-    build_qgram_structure,
-    build_theorem3_qgram_structure,
-    build_theorem4_qgram_structure,
+    qgram_counting_structure,
+    theorem3_qgram_structure,
+    theorem4_qgram_structure,
 )
 from repro.exceptions import PrivacyParameterError
 from repro.strings.qgrams import qgram_capped_counts, qgram_substring_counts
@@ -34,7 +34,7 @@ def noiseless_approx(threshold=1.0):
 
 class TestTheorem3:
     def test_noiseless_counts_exact(self, example_db):
-        structure = build_theorem3_qgram_structure(
+        structure = theorem3_qgram_structure(
             example_db, 2, noiseless_pure(), rng=np.random.default_rng(0)
         )
         exact = qgram_substring_counts(example_db.documents, 2)
@@ -43,28 +43,28 @@ class TestTheorem3:
         assert structure.metadata.qgram_length == 2
 
     def test_longer_patterns_not_stored(self, example_db):
-        structure = build_theorem3_qgram_structure(
+        structure = theorem3_qgram_structure(
             example_db, 2, noiseless_pure(), rng=np.random.default_rng(0)
         )
         assert structure.query("abe") == 0.0
 
     def test_q_validation(self, example_db):
         with pytest.raises(PrivacyParameterError):
-            build_theorem3_qgram_structure(example_db, 0, noiseless_pure())
+            theorem3_qgram_structure(example_db, 0, noiseless_pure())
         with pytest.raises(PrivacyParameterError):
-            build_theorem3_qgram_structure(
+            theorem3_qgram_structure(
                 example_db, example_db.max_length + 1, noiseless_pure()
             )
 
     def test_budget_accounting(self, example_db):
         params = ConstructionParams.pure(2.0, beta=0.1)
-        structure = build_theorem3_qgram_structure(
+        structure = theorem3_qgram_structure(
             example_db, 2, params, rng=np.random.default_rng(0)
         )
         assert structure.report["privacy_spent_epsilon"] <= 2.0 + 1e-9
 
     def test_prebuilt_candidates_skip_candidate_stage(self, example_db):
-        structure = build_theorem3_qgram_structure(
+        structure = theorem3_qgram_structure(
             example_db,
             2,
             noiseless_pure(),
@@ -80,7 +80,7 @@ class TestTheorem3:
         database = StringDatabase(documents)
         if q > database.max_length:
             return
-        structure = build_theorem3_qgram_structure(
+        structure = theorem3_qgram_structure(
             database, q, noiseless_pure(), rng=np.random.default_rng(1)
         )
         exact = qgram_substring_counts(documents, q)
@@ -91,12 +91,12 @@ class TestTheorem3:
 class TestTheorem4:
     def test_requires_delta_or_noiseless(self, example_db):
         with pytest.raises(PrivacyParameterError):
-            build_theorem4_qgram_structure(
+            theorem4_qgram_structure(
                 example_db, 2, ConstructionParams.pure(1.0, beta=0.1)
             )
 
     def test_noiseless_counts_exact(self, example_db):
-        structure = build_theorem4_qgram_structure(
+        structure = theorem4_qgram_structure(
             example_db, 2, noiseless_approx(), rng=np.random.default_rng(0)
         )
         exact = qgram_substring_counts(example_db.documents, 2)
@@ -107,7 +107,7 @@ class TestTheorem4:
         params = ConstructionParams.approximate(
             1.0, 1e-5, beta=0.1, noiseless=True, threshold=1.0, delta_cap=1
         )
-        structure = build_theorem4_qgram_structure(
+        structure = theorem4_qgram_structure(
             example_db, 2, params, rng=np.random.default_rng(0)
         )
         exact = qgram_capped_counts(example_db.documents, 2, delta=1)
@@ -120,7 +120,7 @@ class TestTheorem4:
         params = ConstructionParams.approximate(
             1.0, 1e-5, beta=0.1, threshold=-math.inf
         )
-        structure = build_theorem4_qgram_structure(
+        structure = theorem4_qgram_structure(
             example_db, 3, params, rng=np.random.default_rng(0)
         )
         occurring = set(qgram_substring_counts(example_db.documents, 3))
@@ -131,7 +131,7 @@ class TestTheorem4:
         params = ConstructionParams.approximate(
             1.0, 1e-5, beta=0.05, threshold=-math.inf
         )
-        structure = build_theorem4_qgram_structure(
+        structure = theorem4_qgram_structure(
             example_db, 2, params, rng=np.random.default_rng(2)
         )
         exact = qgram_substring_counts(example_db.documents, 2)
@@ -140,7 +140,7 @@ class TestTheorem4:
 
     def test_budget_accounting(self, example_db):
         params = ConstructionParams.approximate(2.0, 1e-5, beta=0.1)
-        structure = build_theorem4_qgram_structure(
+        structure = theorem4_qgram_structure(
             example_db, 4, params, rng=np.random.default_rng(0)
         )
         assert structure.report["privacy_spent_epsilon"] <= 2.0 + 1e-9
@@ -152,7 +152,7 @@ class TestTheorem4:
         database = StringDatabase(documents)
         if q > database.max_length:
             return
-        structure = build_theorem4_qgram_structure(
+        structure = theorem4_qgram_structure(
             database, q, noiseless_approx(), rng=np.random.default_rng(1)
         )
         exact = qgram_substring_counts(documents, q)
@@ -164,10 +164,10 @@ class TestTheorem4:
 
 class TestDispatch:
     def test_dispatch_selects_flavour(self, example_db):
-        pure = build_qgram_structure(
+        pure = qgram_counting_structure(
             example_db, 2, noiseless_pure(), rng=np.random.default_rng(0)
         )
-        approx = build_qgram_structure(
+        approx = qgram_counting_structure(
             example_db, 2, noiseless_approx(), rng=np.random.default_rng(0)
         )
         assert pure.metadata.construction.startswith("theorem-3")

@@ -153,13 +153,6 @@ class TestBuildProfile:
         )
         assert stages["noise"] == pytest.approx(noise_total)
 
-    def test_legacy_timings_shape(self):
-        profile = self._profile()
-        timings = profile.legacy_timings()
-        assert set(timings) == {"build_backend", "total_seconds", "stages"}
-        assert timings["build_backend"] == "array"
-        assert timings["total_seconds"] == profile.total_seconds
-
     def test_render_mentions_every_span(self):
         text = self._profile().render()
         for name in ("construction", "candidates", "level", "noise"):

@@ -84,9 +84,7 @@ def store(structure, tmp_path_factory):
 @pytest.fixture(scope="module")
 def reference(store):
     """Serial single-process answers every cluster response must equal."""
-    service = QueryService.from_store(store, micro_batch=False)
-    yield service
-    service.close()
+    return QueryService.from_store(store)
 
 
 @pytest.fixture(scope="module")
@@ -103,13 +101,12 @@ def client(cluster):
 @pytest.fixture(scope="module")
 def single_url(store):
     """The single-process server over the same store, for raw comparisons."""
-    service = QueryService.from_store(store, micro_batch=False)
+    service = QueryService.from_store(store)
     server = create_server(service)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
-    service.close()
 
 
 def _exchange(url: str, request: bytes) -> tuple[int, bytes, http.client.HTTPResponse]:
@@ -315,7 +312,7 @@ class TestHealthAndMetrics:
     def test_shed_at_capacity_is_503_with_retry_after(self, store):
         # The gate lives in the one handler every server runs — the single
         # process and each tier worker alike; here it is held in-process.
-        service = QueryService.from_store(store, micro_batch=False)
+        service = QueryService.from_store(store)
         server = create_server(service, max_inflight=2)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -339,7 +336,6 @@ class TestHealthAndMetrics:
             assert client.batch(["ab"]) == [client.query("ab")]
         server.shutdown()
         server.server_close()
-        service.close()
 
     def test_merged_metrics_validate(self, client):
         client.query("ab")  # ensure worker traffic
@@ -406,7 +402,7 @@ class TestSharedListener:
 
     def test_connection_counts_steer_accepts_to_the_less_loaded(self, store):
         # In-process: one server on a shared listener with a sibling slot.
-        service = QueryService.from_store(store, micro_batch=False)
+        service = QueryService.from_store(store)
         listener = socket.create_server(("127.0.0.1", 0))
         server = create_server(service, listener=listener)
         counts = [NOT_ACCEPTING, NOT_ACCEPTING]
@@ -431,7 +427,6 @@ class TestSharedListener:
         finally:
             server.shutdown()
             server.server_close()
-            service.close()
         assert counts[0] == NOT_ACCEPTING  # a draining server is not deferred to
 
     def test_one_worker_never_defers(self, store):

@@ -187,40 +187,29 @@ class TestMixedTrafficStorm:
     """The acceptance stress: >= 8 threads x >= 2k mixed operations,
     bit-identical to a serial replay, with consistent health counters."""
 
-    @pytest.mark.parametrize("micro_batch", [True, False])
-    def test_mixed_storm_bit_identical(self, structure, micro_batch):
-        service = QueryService(
-            {"alpha": structure, "beta": structure},
-            micro_batch=micro_batch,
-            max_wait=0.001,
+    def test_mixed_storm_bit_identical(self, structure):
+        service = QueryService({"alpha": structure, "beta": structure})
+        workload = generate_workload(service, 2_048, seed=11)
+        expected = [execute_operation(service, operation) for operation in workload]
+        result = run_load_test(
+            service, workload, threads=8, expected=expected, check=True
         )
-        try:
-            workload = generate_workload(service, 2_048, seed=11)
-            expected = [execute_operation(service, operation) for operation in workload]
-            result = run_load_test(
-                service, workload, threads=8, expected=expected, check=True
-            )
-            assert result.bit_identical
-            assert result.counters_consistent
-            assert result.operations == 2_048
-        finally:
-            service.close()
+        assert result.bit_identical
+        assert result.counters_consistent
+        assert result.operations == 2_048
 
     def test_counter_deltas_are_exact(self, structure):
-        service = QueryService({"alpha": structure}, micro_batch=True)
-        try:
-            workload = generate_workload(service, 512, seed=3)
-            deltas = expected_counter_deltas(workload)
-            before = service.health()
-            run_load_test(service, workload, threads=6, verify_counters=False)
-            run_load_test(service, workload, threads=6, verify_counters=False)
-            after = service.health()
-            for key, delta in deltas.items():
-                # Four replays total: each run_load_test without `expected`
-                # performs its own serial replay plus the concurrent one.
-                assert after[key] - before[key] == 4 * delta, key
-        finally:
-            service.close()
+        service = QueryService({"alpha": structure})
+        workload = generate_workload(service, 512, seed=3)
+        deltas = expected_counter_deltas(workload)
+        before = service.health()
+        run_load_test(service, workload, threads=6, verify_counters=False)
+        run_load_test(service, workload, threads=6, verify_counters=False)
+        after = service.health()
+        for key, delta in deltas.items():
+            # Four replays total: each run_load_test without `expected`
+            # performs its own serial replay plus the concurrent one.
+            assert after[key] - before[key] == 4 * delta, key
 
 
 class TestCrashSafety:

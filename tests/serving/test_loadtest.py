@@ -35,14 +35,12 @@ from tests.serving.test_release_format import make_structure
 
 @pytest.fixture(scope="module")
 def service():
-    service = QueryService(
+    return QueryService(
         {
             "one": make_structure({"ab": 5.0, "ba": 3.0, "abb": 1.5}),
             "two": make_structure({"ab": 2.0, "bb": 7.25, "bab": 4.0}),
         }
     )
-    yield service
-    service.close()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """Tests for the serving metrics: the registry-homed counters, per-endpoint
-latency histograms, micro-batch instrumentation, and the ``/metrics``
-endpoint (Prometheus text + JSON snapshot)."""
+latency histograms, and the ``/metrics`` endpoint (Prometheus text + JSON
+snapshot)."""
 
 from __future__ import annotations
 
@@ -27,9 +27,7 @@ def structure():
 
 @pytest.fixture
 def service(structure):
-    service = QueryService({"demo": structure}, micro_batch=False)
-    yield service
-    service.close()
+    return QueryService({"demo": structure})
 
 
 class TestServiceMetrics:
@@ -83,23 +81,6 @@ class TestServiceMetrics:
         info = service.release("demo").cache_info()
         assert hits.value == info.hits
         assert misses.value == info.misses
-
-    def test_microbatcher_metrics(self, structure):
-        service = QueryService({"demo": structure}, micro_batch=True)
-        try:
-            for _ in range(4):
-                service.query("ab")
-            registry = service.metrics
-            flushes = registry.get("dpsc_microbatch_flushes_total").value
-            requests = registry.get("dpsc_microbatch_requests_total").value
-            assert requests == 4
-            assert 1 <= flushes <= 4
-            assert registry.get("dpsc_microbatch_flush_size").count == flushes
-            payload = service.health()
-            assert payload["micro_batches_flushed"] == flushes
-            assert payload["micro_batched_requests"] == 4
-        finally:
-            service.close()
 
 
 class TestMetricsEndpoint:

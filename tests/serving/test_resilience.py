@@ -580,7 +580,6 @@ class TestServingClient:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-            service.close()
         assert not thread.is_alive()
         assert result.bit_identical and result.counters_consistent
         assert result.errors == []
@@ -597,7 +596,7 @@ class TestServingClient:
         from repro.serving import QueryService, create_server
         from tests.serving.test_release_format import make_structure
 
-        service = QueryService({"demo": make_structure({"ab": 5.0})}, micro_batch=False)
+        service = QueryService({"demo": make_structure({"ab": 5.0})})
         server = create_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -612,7 +611,6 @@ class TestServingClient:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-            service.close()
 
     def test_per_endpoint_timeout_defaults_and_flat_override(self):
         client = ServingClient("http://127.0.0.1:1")
@@ -632,9 +630,7 @@ class TestServerDeadlineRefusal:
         from repro.serving import QueryService, create_server
         from tests.serving.test_release_format import make_structure
 
-        service = QueryService(
-            {"demo": make_structure({"ab": 5.0, "ba": 3.0})}, micro_batch=False
-        )
+        service = QueryService({"demo": make_structure({"ab": 5.0, "ba": 3.0})})
         server = create_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -668,4 +664,3 @@ class TestServerDeadlineRefusal:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-            service.close()

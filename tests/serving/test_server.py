@@ -1,4 +1,4 @@
-"""Tests for the query service, micro-batcher, HTTP server and client."""
+"""Tests for the query service, HTTP server and client."""
 
 from __future__ import annotations
 
@@ -41,9 +41,7 @@ def structures():
 
 @pytest.fixture
 def service(structures):
-    service = QueryService(structures, default_release="first", micro_batch=False)
-    yield service
-    service.close()
+    return QueryService(structures, default_release="first")
 
 
 class TestQueryService:
@@ -99,89 +97,82 @@ class TestQueryService:
 
     def test_accepts_precompiled_releases(self, structures):
         compiled = CompiledTrie.from_structure(structures["first"])
-        service = QueryService({"first": compiled}, micro_batch=False)
+        service = QueryService({"first": compiled})
         assert service.query("ab") == structures["first"].query("ab")
-        service.close()
 
 
-class TestMicroBatcher:
-    def test_concurrent_queries_answer_correctly(self, structures):
-        service = QueryService(structures, micro_batch=True, max_wait=0.001)
-        try:
-            probes = ["ab", "ba", "bb", "zz", "abab", "bee"] * 8
-            results: dict[int, float] = {}
+#: single-pattern probes of the "first" release, each repeated 8 times.
+PROBES = ["ab", "ba", "bb", "zz", "abab", "bee"] * 8
 
-            def worker(index: int, pattern: str) -> None:
-                results[index] = service.query(pattern)
 
-            threads = [
-                threading.Thread(target=worker, args=(i, p))
-                for i, p in enumerate(probes)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            expected = {
-                i: structures["first"].query(p) for i, p in enumerate(probes)
-            }
-            assert results == expected
-            health = service.health()
-            assert health["micro_batched_requests"] == len(probes)
-            assert 1 <= health["micro_batches_flushed"] <= len(probes)
-        finally:
-            service.close()
+def _query_concurrently(service: QueryService, probes: list[str]) -> dict:
+    """Each probe's answer, queried from its own barrier-released thread;
+    also the set of every thread seen alive while the queries ran."""
+    results: dict[int, float] = {}
+    seen: set[threading.Thread] = set()
+    lock = threading.Lock()
+    barrier = threading.Barrier(len(probes), timeout=30)
 
-    def test_sequential_queries_hit_the_lru_cache(self, structures):
-        # Singleton flushes take the cached single-query path, so hot
-        # patterns benefit from the LRU even with micro-batching enabled.
-        service = QueryService(structures, micro_batch=True)
-        try:
-            expected = structures["first"].query("ab")
-            for _ in range(5):
-                assert service.query("ab") == expected
-            assert service.release("first").cache_info().hits > 0
-        finally:
-            service.close()
+    def worker(index: int, pattern: str) -> None:
+        barrier.wait()
+        count = service.query(pattern)
+        alive = threading.enumerate()
+        with lock:
+            results[index] = count
+            seen.update(alive)
 
-    def test_submit_after_close_raises(self, structures):
-        service = QueryService(structures, micro_batch=True)
-        batcher = service._batcher
-        service.close()
-        with pytest.raises(ReproError):
-            batcher.submit("ab", "first")
+    threads = [
+        threading.Thread(target=worker, args=(i, p)) for i, p in enumerate(probes)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert len(results) == len(probes)
+    return {"results": results, "seen": seen, "workers": set(threads)}
 
-    def test_flushes_do_not_count_as_batch_traffic(self, structures):
-        # A micro-batched flush of coalesced single queries must not bump
-        # num_batches/num_batch_patterns: /healthz would misreport single
-        # -query traffic as /batch traffic.
-        service = QueryService(structures, micro_batch=True, max_wait=0.001)
-        try:
-            probes = ["ab", "ba", "bb", "zz", "abab", "bee"] * 8
-            threads = [
-                threading.Thread(target=service.query, args=(p,)) for p in probes
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            health = service.health()
-            assert health["queries"] == len(probes)
-            assert health["batches"] == 0
-            assert health["batch_patterns"] == 0
-            assert health["micro_batched_requests"] == len(probes)
-            # An actual /batch request still counts as one.
-            service.batch(["ab", "ba"])
-            health = service.health()
-            assert health["batches"] == 1
-            assert health["batch_patterns"] == 2
-        finally:
-            service.close()
+
+class TestConcurrentQueries:
+    """Each ``/query`` runs the compiled trie's walk on its caller's thread."""
+
+    def test_concurrent_answers_are_bit_identical(self, service, structures):
+        results = _query_concurrently(service, PROBES)["results"]
+        concurrent = np.array([results[i] for i in range(len(PROBES))])
+        serial = np.array([structures["first"].query(p) for p in PROBES])
+        assert concurrent.tobytes() == serial.tobytes()
+
+    def test_serving_starts_no_thread(self, structures):
+        before = set(threading.enumerate())
+        service = QueryService(structures, default_release="first")
+        assert set(threading.enumerate()) <= before
+        run = _query_concurrently(service, PROBES)
+        assert run["seen"] <= before | run["workers"]
+        assert "repro-microbatcher" not in {t.name for t in threading.enumerate()}
+
+    def test_sequential_queries_hit_the_lru_cache(self, service, structures):
+        expected = structures["first"].query("ab")
+        for _ in range(5):
+            assert service.query("ab") == expected
+        assert service.release("first").cache_info().hits > 0
+
+    def test_concurrent_queries_count_as_queries_not_batches(self, service):
+        # /healthz must not report single-query traffic as /batch traffic.
+        _query_concurrently(service, PROBES)
+        health = service.health()
+        assert health["queries"] == len(PROBES)
+        assert health["batches"] == 0
+        assert health["batch_patterns"] == 0
+        # An actual /batch request still counts as one.
+        service.batch(["ab", "ba"])
+        health = service.health()
+        assert health["batches"] == 1
+        assert health["batch_patterns"] == 2
 
 
 @pytest.fixture(scope="module")
 def http_client(structures):
-    service = QueryService(structures, default_release="first", max_wait=0.001)
+    service = QueryService(structures, default_release="first")
     server = create_server(service, port=0)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -190,7 +181,6 @@ def http_client(structures):
         yield client, structures
     server.shutdown()
     server.server_close()
-    service.close()
 
 
 class TestHTTPEndToEnd:
@@ -318,7 +308,6 @@ class TestShutdown:
                 client.query("ab")
             assert excinfo.value.attempts == 2
             assert time.monotonic() - started < 5.0
-        service.close()
 
 
 class TestFromStore:
@@ -326,28 +315,22 @@ class TestFromStore:
         store = ReleaseStore(tmp_path / "store")
         store.save("first", structures["first"])
         store.save("second", structures["second"])
-        service = QueryService.from_store(store, micro_batch=False)
-        try:
-            assert service.query("ab", release="first") == structures["first"].query(
-                "ab"
-            )
-            assert set(info["name"] for info in service.releases_info()) == {
-                "first",
-                "second",
-            }
-        finally:
-            service.close()
+        service = QueryService.from_store(store)
+        assert service.query("ab", release="first") == structures["first"].query(
+            "ab"
+        )
+        assert set(info["name"] for info in service.releases_info()) == {
+            "first",
+            "second",
+        }
 
     def test_serves_pinned_version(self, tmp_path, structures):
         store = ReleaseStore(tmp_path / "store")
         store.save("demo", structures["first"])
         store.save("demo", structures["second"])
         store.pin("demo", 1)
-        service = QueryService.from_store(store, micro_batch=False)
-        try:
-            assert service.query("abab") == structures["first"].query("abab")
-        finally:
-            service.close()
+        service = QueryService.from_store(store)
+        assert service.query("abab") == structures["first"].query("abab")
 
     def test_empty_store_rejected(self, tmp_path):
         store = ReleaseStore(tmp_path / "store")

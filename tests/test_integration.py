@@ -14,11 +14,11 @@ import pytest
 
 from repro import (
     ConstructionParams,
+    Dataset,
     ExactCountingOracle,
     PrivateCountingTrie,
     StringDatabase,
     build_private_counting_structure,
-    build_qgram_structure,
     build_simple_trie_baseline,
     check_mining_guarantee,
     mine_frequent_substrings,
@@ -92,8 +92,10 @@ class TestEndToEndApproximate:
 
     def test_qgram_structure_end_to_end(self, genome_db):
         params = ConstructionParams.approximate(epsilon=20.0, delta=1e-6, beta=0.1)
-        structure = build_qgram_structure(
-            genome_db, 2, params, rng=np.random.default_rng(5)
+        structure = (
+            Dataset.from_database(genome_db)
+            .with_params(params)
+            .build("qgram-t4", q=2, rng=np.random.default_rng(5))
         )
         assert structure.metadata.qgram_length == 2
         for pattern, noisy in structure.items():

@@ -73,16 +73,19 @@ class TestSubpackages:
         }
         assert not hasattr(cluster, "Router")
 
-    def test_core_exports_every_theorem_builder(self):
-        from repro import core
+    def test_importing_repro_is_deprecation_clean(self):
+        import warnings
 
-        for builder in (
-            "build_theorem1_structure",
-            "build_theorem2_structure",
-            "build_theorem3_qgram_structure",
-            "build_theorem4_qgram_structure",
-        ):
-            assert builder in core.__all__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            importlib.reload(repro)
+        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+    def test_registry_offers_every_theorem_kind(self):
+        from repro.api import default_registry
+
+        # Theorems 1-2 (heavy-path, by budget), 3 and 4 (q-gram).
+        assert {"heavy-path", "qgram-t3", "qgram-t4"} <= set(default_registry().kinds())
 
     def test_trees_exports_both_counting_strategies(self):
         from repro import trees
