@@ -71,6 +71,22 @@ class TestKindsMatchTheirConstructions:
         assert direct.to_payload()["counts"] == built.to_payload()["counts"]
         assert direct.metadata == built.metadata
 
+    def test_approximate_heavy_path_is_build_private_counting_structure(
+        self, example_db
+    ):
+        # (epsilon, delta)-DP params select Theorem 2's construction.
+        params = ConstructionParams.approximate(2.0, 1e-6, beta=0.1)
+        direct = build_private_counting_structure(
+            example_db, params, rng=np.random.default_rng(0)
+        )
+        built = (
+            Dataset.from_database(example_db)
+            .with_params(params)
+            .build("heavy-path", rng=np.random.default_rng(0))
+        )
+        assert direct.to_payload()["counts"] == built.to_payload()["counts"]
+        assert direct.metadata == built.metadata
+
     @pytest.mark.parametrize(
         "kind, construct, params",
         [

@@ -5,6 +5,7 @@ snapshot)."""
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,38 @@ class TestServiceMetrics:
         info = service.release("demo").cache_info()
         assert hits.value == info.hits
         assert misses.value == info.misses
+
+    def test_concurrent_queries_are_counted_exactly(self, service):
+        threads, per_thread = 8, 50
+        barrier = threading.Barrier(threads, timeout=30)
+
+        def worker() -> None:
+            barrier.wait()
+            for _ in range(per_thread):
+                service.query("ab")
+
+        workers = [threading.Thread(target=worker) for _ in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        total = threads * per_thread
+        registry = service.metrics
+        assert registry.get("dpsc_requests_total", {"endpoint": "query"}).value == total
+        assert registry.get(
+            "dpsc_request_seconds", {"endpoint": "query"}
+        ).count == total
+        assert service.health()["queries"] == total
+
+    def test_every_registered_metric_is_documented(self, service):
+        docs = Path(__file__).resolve().parents[2] / "docs"
+        text = "\n".join(page.read_text() for page in docs.glob("*.md"))
+        for name in service.metrics.snapshot():
+            # dpsc_compiled_cache_{hits,misses,size} is one table row
+            if name.startswith("dpsc_compiled_cache_"):
+                name = "dpsc_compiled_cache_{"
+            assert f"`{name}" in text, f"{name} is not documented under docs/"
 
 
 class TestMetricsEndpoint:

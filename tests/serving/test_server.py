@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -169,6 +171,59 @@ class TestConcurrentQueries:
         assert health["batches"] == 1
         assert health["batch_patterns"] == 2
 
+    def test_concurrent_queries_route_per_release(self, service, structures):
+        # both releases' walks share the handler threads, never an answer
+        probes = ["ab", "bee", "ba", "abe", "bb", "zz"] * 8
+        releases = ["first", "second"] * (len(probes) // 2)
+        answers: dict[int, float] = {}
+        barrier = threading.Barrier(len(probes), timeout=30)
+
+        def worker(index: int) -> None:
+            barrier.wait()
+            answers[index] = service.query(probes[index], release=releases[index])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(probes))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        for index, (pattern, release) in enumerate(zip(probes, releases)):
+            assert answers[index] == structures[release].query(pattern)
+
+    def test_concurrent_http_queries_are_bit_identical(self, structures):
+        # each connection gets its own handler thread, which runs the walk
+        service = QueryService(structures, default_release="first")
+        server = create_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        answers: dict[int, list[float]] = {}
+        barrier = threading.Barrier(8, timeout=30)
+
+        def client_thread(index: int) -> None:
+            with ServingClient(url) as client:
+                barrier.wait()
+                answers[index] = [client.query(p) for p in PROBES]
+
+        try:
+            clients = [
+                threading.Thread(target=client_thread, args=(i,)) for i in range(8)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+                assert not client.is_alive()
+        finally:
+            server.shutdown()
+            server.server_close()
+        serial = np.array([structures["first"].query(p) for p in PROBES])
+        assert len(answers) == 8
+        for counts in answers.values():
+            assert np.array(counts).tobytes() == serial.tobytes()
+        assert service.health()["queries"] == 8 * len(PROBES)
+
 
 @pytest.fixture(scope="module")
 def http_client(structures):
@@ -308,6 +363,33 @@ class TestShutdown:
                 client.query("ab")
             assert excinfo.value.attempts == 2
             assert time.monotonic() - started < 5.0
+
+    def test_query_after_shutdown_is_refused_with_503(self, structures):
+        # a lone server's handler refuses a kept-alive connection's next
+        # request once shutdown began, and counts no query for it
+        service = QueryService(structures, default_release="first")
+        server = create_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=5
+        )
+        try:
+            connection.request("GET", "/query?pattern=ab")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            server.shutdown()
+            connection.request("GET", "/query?pattern=ab")
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 503
+            assert "shutting down" in body["error"]
+            assert response.getheader("Connection") == "close"
+            assert service.health()["queries"] == 1
+        finally:
+            connection.close()
+            server.server_close()
 
 
 class TestFromStore:

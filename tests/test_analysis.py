@@ -161,6 +161,15 @@ class TestExperimentRunners:
         rows = experiments.run_query_time_experiment([1, 2], n=4, ell=8, repetitions=10)
         assert len(rows) == 2
 
+    def test_e23_concurrent_replays_are_bit_identical(self):
+        rows = experiments.run_concurrent_serving(
+            (1, 4), n=60, ell=6, num_operations=200, epsilon=20.0, threshold=5.0
+        )
+        assert [row["threads"] for row in rows] == [1, 4]
+        for row in rows:
+            assert row["bit_identical"] and row["counters_consistent"]
+            assert row["mismatches"] == 0 and row["errors"] == 0
+
 
 class TestCLI:
     def test_list_and_quickstart(self, capsys):

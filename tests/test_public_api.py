@@ -73,6 +73,16 @@ class TestSubpackages:
         }
         assert not hasattr(cluster, "Router")
 
+    def test_a_query_service_has_no_micro_batcher(self):
+        import inspect
+
+        from repro import serving
+
+        assert not hasattr(serving, "MicroBatcher")
+        knobs = set(inspect.signature(serving.QueryService).parameters)
+        assert not knobs & {"micro_batch", "max_batch", "max_wait"}
+        assert not hasattr(serving.QueryService, "close")
+
     def test_importing_repro_is_deprecation_clean(self):
         import warnings
 
